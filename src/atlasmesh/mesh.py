@@ -227,12 +227,13 @@ def validate(tri: Triangulation, adj: Adjacency | None = None) -> ValidationRepo
     return ValidationReport(manifold, oriented, watertight, nloops, degen)
 
 
-def euler_check(tri: Triangulation, adj: Adjacency | None = None):
+def euler_check(tri: Triangulation, adj: Adjacency | None = None, loops=None):
     """Topology counts of a manifold patch and its parametrizability.
 
     Returns (TopologyInfo, parametrizable).  The genus comes from the
     Euler characteristic; the patch maps one-to-one onto the disk iff
-    g == 0 and it has at least one boundary loop.
+    g == 0 and it has at least one boundary loop.  `loops`, when given,
+    are the boundary loops of `adj` already walked by the caller.
     """
     if adj is None:
         adj = Adjacency(tri)
@@ -241,7 +242,8 @@ def euler_check(tri: Triangulation, adj: Adjacency | None = None):
     p = tri.n_vertices
     e = adj.n_edges
     t = tri.n_triangles
-    loops = boundary_loops(tri, adj) if adj.boundary_edges else []
+    if loops is None:
+        loops = boundary_loops(tri, adj) if adj.boundary_edges else []
     b = len(loops)
     h = sum(len(l) for l in loops)
     chi = p - e + t

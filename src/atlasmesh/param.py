@@ -52,24 +52,6 @@ def _clamp_angles(theta):
     return clipped
 
 
-def mvc_weight(theta_k, theta_l, l_ij):
-    """Mean value coordinate weight (tan(tk/2) + tan(tl/2)) / l; positive."""
-    for t in (theta_k, theta_l):
-        if not (0.0 <= t < np.pi):
-            raise MeshError(f"angle {t} outside [0, pi)")
-    if l_ij <= 0.0:
-        raise MeshError("non-positive edge length")
-    return (np.tan(theta_k / 2.0) + np.tan(theta_l / 2.0)) / l_ij
-
-
-def fem_weight(theta_k, theta_l):
-    """Cotangent weight (cot tk + cot tl) / 2; negative beyond 90 degrees."""
-    for t in (theta_k, theta_l):
-        if not (0.0 < t < np.pi):
-            raise MeshError(f"angle {t} outside (0, pi)")
-    return 0.5 * (1.0 / np.tan(theta_k) + 1.0 / np.tan(theta_l))
-
-
 def scheme_weight_matrix(vertices, triangles, scheme="mvc"):
     """Sparse matrix W with W[i, j] = lambda_ij summed over adjacent triangles.
 
@@ -224,24 +206,22 @@ def assemble_system(
         weights.center_ids[k] = len(free) + c
     m = len(free) + n_centers
 
-    rows, cols, vals = [], [], []
-    rhs = np.zeros((m, 2))
-
+    # W part, in W's COO order: each weight of a free row gives a diagonal
+    # triplet, followed by its off-diagonal twin when the neighbour is free;
+    # a Dirichlet neighbour moves to the rhs.  This triplet order keeps the
+    # summed entries of A bit for bit those of a per-entry loop.
     Wc = W.tocoo()
-    lam_i, lam_j, lam_v = Wc.row, Wc.col, Wc.data
-    for i, j, lam in zip(lam_i.tolist(), lam_j.tolist(), lam_v.tolist()):
-        r = unknown[i]
-        if r < 0:
-            continue
-        rows.append(r)
-        cols.append(r)
-        vals.append(lam)
-        if unknown[j] >= 0:
-            rows.append(r)
-            cols.append(unknown[j])
-            vals.append(-lam)
-        else:
-            rhs[r] += lam * np.asarray(boundary_uv[j])
+    keep = unknown[Wc.row] >= 0
+    r, j, lam = unknown[Wc.row[keep]], Wc.col[keep], Wc.data[keep]
+    twin = unknown[j] >= 0
+    emit = np.column_stack([np.ones_like(twin), twin]).ravel()
+    rows = np.repeat(r, 2)[emit].tolist()
+    cols = np.column_stack([r, unknown[j]]).ravel()[emit].tolist()
+    vals = np.column_stack([lam, -lam]).ravel()[emit].tolist()
+    uv_fixed = np.zeros((n, 2))
+    uv_fixed[list(boundary_uv)] = list(boundary_uv.values())
+    rhs = np.zeros((m, 2))
+    np.add.at(rhs, r[~twin], lam[~twin, None] * uv_fixed[j[~twin]])
 
     # pseudo-center rows: the center averages the hole vertices with the
     # weights of the virtual isosceles fan, and hole-vertex rows gain the
@@ -356,11 +336,6 @@ def _iterative_fallback(A, rhs):
             raise MeshError(f"linear solver failed to converge (info={info})")
         cols.append(x)
     return np.column_stack(cols)
-
-
-def check_injectivity(patch: Patch, param: Parametrization):
-    """Local triangle ids with non-positive parametric area (empty = injective)."""
-    return np.nonzero(param.signed_areas <= 0.0)[0].tolist()
 
 
 @dataclass

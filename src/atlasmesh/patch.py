@@ -76,7 +76,7 @@ class Patch:
         return self.tri.n_triangles
 
     def topology(self):
-        return euler_check(self.tri, self.adj)
+        return euler_check(self.tri, self.adj, self.loops)
 
     def global_loops(self):
         """Boundary loops expressed in global vertex ids."""

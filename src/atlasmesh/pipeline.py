@@ -181,7 +181,7 @@ def remesh_model(model: Triangulation, opt: PipelineOptions | None = None):
         res = mesh_patch_uv(
             atlas.patches[face_id], atlas.params[face_id], loops, size
         )
-        xyz = map_to_3d(res, atlas.patches[face_id], atlas.params[face_id])
+        xyz = map_to_3d(res, atlas.patches[face_id])
         return res, xyz
 
     meshed = _run_parallel(mesh_face, range(len(atlas.brep.faces)), opt.threads)

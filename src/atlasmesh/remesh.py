@@ -115,13 +115,10 @@ class FaceMetric:
     """Piecewise-constant metric of a parametrized patch at target size h."""
 
     def __init__(self, patch, param, h):
-        self.locator = UVLocator(param.uv, patch.tri.triangles)
-        tensors = []
-        for t in range(patch.tri.n_triangles):
-            idx = patch.tri.triangles[t]
-            J = triangle_jacobian(patch.tri.vertices[idx], param.uv[idx])
-            tensors.append(metric_tensor(J, h))
-        self.tensors = tensors
+        tris = patch.tri.triangles
+        self.locator = UVLocator(param.uv, tris)
+        J = triangle_jacobian(patch.tri.vertices[tris], param.uv[tris])
+        self.tensors = metric_tensor(J, h)  # (m, 2, 2), one per triangle
 
     def at(self, q):
         t, _ = self.locator.locate(q, clamp=True)
@@ -183,6 +180,7 @@ class FaceMeshResult:
     triangles: np.ndarray
     boundary_key: dict  # local vertex -> hashable global key
     xyz_boundary: dict  # local vertex -> exact 3D position
+    locator: UVLocator  # the face's parametric triangles, for map_to_3d
 
 
 def mesh_patch_uv(
@@ -305,23 +303,23 @@ def mesh_patch_uv(
         triangles=tris,
         boundary_key=boundary_key,
         xyz_boundary=xyz_boundary,
+        locator=metric.locator,
     )
 
 
-def map_to_3d(result: FaceMeshResult, patch, param) -> np.ndarray:
+def map_to_3d(result: FaceMeshResult, patch) -> np.ndarray:
     """3D positions of the face mesh vertices, exactly on the input surface.
 
     Boundary samples keep their precomputed positions (on original curve
     segments); interior vertices are barycentric images on the containing
-    parametric triangle.
+    parametric triangle, found by the locator the face's metric built.
     """
-    locator = UVLocator(param.uv, patch.tri.triangles)
     out = np.empty((len(result.uv_points), 3))
     for v in range(len(result.uv_points)):
         if v in result.xyz_boundary:
             out[v] = result.xyz_boundary[v]
             continue
-        t, bary = locator.locate(result.uv_points[v], clamp=True)
+        t, bary = result.locator.locate(result.uv_points[v], clamp=True)
         corners = patch.tri.vertices[patch.tri.triangles[t]]
         out[v] = bary @ corners
     return out

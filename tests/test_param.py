@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -8,11 +9,9 @@ from fixtures import concave_hole_plate, cube, random_disk_fixture
 from atlasmesh.mesh import MeshError, Triangulation
 from atlasmesh.param import (
     ParamOptions,
+    _virtual_hole_triangles,
     apply_boundary,
     assemble_system,
-    check_injectivity,
-    fem_weight,
-    mvc_weight,
     parametrize,
     scheme_weight_matrix,
     select_outer_loop,
@@ -60,29 +59,74 @@ def test_angles_right_triangle():
     assert th[1] == pytest.approx(np.arcsin(4.0 / 5.0))
 
 
-@given(
-    st.floats(1e-6, np.pi - 1e-6),
-    st.floats(1e-6, np.pi - 1e-6),
-    st.floats(1e-6, 1e3),
-)
+def mvc_weight(theta_k, theta_l, l_ij):
+    """Reference: mean value weight (tan(tk/2) + tan(tl/2)) / l of one edge."""
+    return (np.tan(theta_k / 2.0) + np.tan(theta_l / 2.0)) / l_ij
+
+
+def fem_weight(theta_k, theta_l):
+    """Reference: cotangent weight (cot tk + cot tl) / 2 of one edge."""
+    return 0.5 * (1.0 / np.tan(theta_k) + 1.0 / np.tan(theta_l))
+
+
+def _weights_by_triangle(vertices, triangles, scheme):
+    """Reference W summed triangle by triangle from the scalar formulas.
+
+    A triangle adds half of the edge formula with both angles equal to its
+    own angle.  Also returns the sum of the magnitudes of the terms, which
+    bounds the rounding of the sums.
+    """
+    W, mag = {}, {}
+    for tri in triangles:
+        p = vertices[tri]
+        lens = np.linalg.norm(p[[1, 2, 0]] - p[[2, 0, 1]], axis=1)
+        theta = triangle_angles(*lens)
+        for k in range(3):
+            i, j, o = tri[k], tri[(k + 1) % 3], tri[(k + 2) % 3]
+            if scheme == "mvc":  # the angle at i, towards j and towards o
+                l_ij, l_io = lens[(k + 2) % 3], lens[(k + 1) % 3]
+                terms = [((i, j), 0.5 * mvc_weight(theta[k], theta[k], l_ij)),
+                         ((i, o), 0.5 * mvc_weight(theta[k], theta[k], l_io))]
+            else:  # the angle at i is opposite the edge (j, o)
+                w = 0.5 * fem_weight(theta[k], theta[k])
+                terms = [((j, o), w), ((o, j), w)]
+            for key, w in terms:
+                W[key] = W.get(key, 0.0) + w
+                mag[key] = mag.get(key, 0.0) + abs(w)
+    return W, mag
+
+
+@given(triangle_points)
 @settings(max_examples=200)
-def test_mvc_weight_positive(tk, tl, l):
-    assert mvc_weight(tk, tl, l) > 0.0
+def test_mvc_weight_positive(pts):
+    W = scheme_weight_matrix(np.asarray(pts), [[0, 1, 2]], "mvc")
+    assert W.nnz == 6
+    assert (W.data > 0.0).all()
 
 
 def test_fem_weight_sign():
-    # both angles acute -> positive; one very obtuse -> negative
-    assert fem_weight(0.4, 0.5) > 0.0
-    assert fem_weight(3.0, 1.0) < 0.0
+    # the edge (0, 1) faces two acute angles -> positive; two obtuse -> negative
+    for apex, sign in ((2.0, 1.0), (0.2, -1.0)):
+        verts = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, apex], [0.0, -apex]])
+        W = scheme_weight_matrix(verts, [[0, 1, 2], [1, 0, 3]], "fem")
+        assert sign * W[0, 1] > 0.0
+        assert sign * W[1, 0] > 0.0
 
 
-def test_weight_preconditions():
-    with pytest.raises(MeshError):
-        mvc_weight(-0.1, 0.5, 1.0)
-    with pytest.raises(MeshError):
-        mvc_weight(0.5, 0.5, 0.0)
-    with pytest.raises(MeshError):
-        fem_weight(0.0, 0.5)
+# float64 rounding of each per-triangle term and of one addition per term
+WEIGHT_RTOL = 8 * np.finfo(np.float64).eps
+
+
+@pytest.mark.parametrize("scheme", ["mvc", "fem"])
+def test_weight_matrix_matches_scalar_formulas(scheme):
+    for seed in range(8):
+        m = random_disk_fixture(seed)
+        W = scheme_weight_matrix(m.vertices, m.triangles, scheme).tocoo()
+        ref, mag = _weights_by_triangle(m.vertices, m.triangles, scheme)
+        got = {(int(i), int(j)): w for i, j, w in zip(W.row, W.col, W.data)}
+        assert set(got) == set(ref)
+        for key, w in ref.items():
+            assert abs(got[key] - w) <= WEIGHT_RTOL * mag[key]
 
 
 def test_weight_matrix_mvc_positive_everywhere():
@@ -205,10 +249,91 @@ def test_check_injectivity_reports_folds():
     m = random_disk_fixture(0)
     patch = Patch(m, np.arange(m.n_triangles))
     param = parametrize(patch)
-    assert check_injectivity(patch, param) == []
+    assert param.injective
+    assert (param.signed_areas > 0.0).all()
+    assert np.array_equal(
+        param.signed_areas, signed_uv_areas(patch.tri.triangles, param.uv)
+    )
     # artificially fold one triangle
     bad = param.uv.copy()
     t0 = patch.tri.triangles[0]
     bad[t0[0]] = bad[t0[1]] + (bad[t0[1]] - bad[t0[0]]) * 2.0
     areas = signed_uv_areas(patch.tri.triangles, bad)
     assert (areas <= 0.0).any()
+
+
+# -- assembly against the per-entry loop it replaced ---------------------------
+
+def _loop_assembly(patch, scheme, hole_policy):
+    """Reference: (A, rhs) assembled one W entry and one hole edge at a time."""
+    outer_loop, boundary_uv = apply_boundary(patch)
+    n = patch.tri.n_vertices
+    W = scheme_weight_matrix(patch.tri.vertices, patch.tri.triangles, scheme)
+    fill = [k for k in range(len(patch.loops))
+            if k != outer_loop and hole_policy != "neumann"
+            and (hole_policy == "fill" or len(patch.loops[k]) <= 100)]
+    unknown = np.full(n, -1, dtype=np.int64)
+    free = np.setdiff1d(np.arange(n), np.fromiter(boundary_uv, dtype=np.int64))
+    unknown[free] = np.arange(len(free))
+    m = len(free) + len(fill)
+    rows, cols, vals = [], [], []
+    rhs = np.zeros((m, 2))
+
+    def add(i_unk, j_col, j_vert, lam):
+        rows.append(i_unk)
+        cols.append(i_unk)
+        vals.append(lam)
+        if j_col is None:
+            rhs[i_unk] += lam * np.asarray(boundary_uv[j_vert])
+        else:
+            rows.append(i_unk)
+            cols.append(j_col)
+            vals.append(-lam)
+
+    def vertex_col(j):
+        return unknown[j] if unknown[j] >= 0 else None
+
+    Wc = W.tocoo()
+    for i, j, lam in zip(Wc.row.tolist(), Wc.col.tolist(), Wc.data.tolist()):
+        if unknown[i] >= 0:
+            add(unknown[i], vertex_col(j), j, lam)
+    for c, k in enumerate(fill):
+        loop = [int(v) for v in patch.loops[k]]
+        alpha, beta, r_hole, base = _virtual_hole_triangles(patch, loop)
+        cid = len(free) + c
+        for e, (vj, vj1) in enumerate(zip(loop, loop[1:] + loop[:1])):
+            if scheme == "mvc":
+                w_center = np.tan(alpha[e] / 2.0) / r_hole
+                w_ring = np.tan(beta[e] / 2.0) / base[e]
+                w_back = np.tan(beta[e] / 2.0) / r_hole
+            else:
+                w_center = w_back = 0.5 / np.tan(beta[e])
+                w_ring = 0.5 / np.tan(alpha[e])
+            add(cid, vertex_col(vj), vj, w_center)
+            add(cid, vertex_col(vj1), vj1, w_center)
+            for a, b in ((vj, vj1), (vj1, vj)):
+                if unknown[a] >= 0:
+                    add(unknown[a], cid, None, w_back)
+                    add(unknown[a], vertex_col(b), b, w_ring)
+    A = sp.coo_matrix((vals, (rows, cols)), shape=(m, m)).tocsc()
+    A.sum_duplicates()
+    return A, rhs
+
+
+def _assembly_cases():
+    for seed in range(50):
+        for scheme in ("mvc", "fem"):
+            yield random_disk_fixture(seed), scheme, "auto"
+    for policy in ("fill", "neumann"):
+        yield concave_hole_plate(), "mvc", policy
+
+
+def test_assembly_equals_entry_loop():
+    for mesh, scheme, policy in _assembly_cases():
+        patch = Patch(mesh, np.arange(mesh.n_triangles))
+        system = assemble_system(patch, scheme=scheme, hole_policy=policy)
+        A, rhs = _loop_assembly(patch, scheme, policy)
+        assert np.array_equal(system.A.indptr, A.indptr)
+        assert np.array_equal(system.A.indices, A.indices)
+        assert np.array_equal(system.A.data, A.data)
+        assert np.array_equal(system.rhs, rhs)

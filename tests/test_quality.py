@@ -96,3 +96,59 @@ def test_patch_quality_summary():
     s = rep.summary()
     assert 0.0 < s["min_conformity"] <= s["mean_conformity"] <= 1.0
     assert sum(s["histogram"]) == patch.n_triangles
+
+
+# -- stacked paths against a per-triangle loop --------------------------------
+
+def _loop_jacobian(tri3d, tri_uv):
+    """Reference: one triangle at a time, as 2D arrays."""
+    p, q = np.asarray(tri3d, dtype=float), np.asarray(tri_uv, dtype=float)
+    E = np.column_stack([p[1] - p[0], p[2] - p[0]])
+    D = np.column_stack([q[1] - q[0], q[2] - q[0]])
+    det = D[0, 0] * D[1, 1] - D[0, 1] * D[1, 0]
+    return E @ (np.array([[D[1, 1], -D[0, 1]], [-D[1, 0], D[0, 0]]]) / det)
+
+
+def _loop_singular_values(J):
+    G = J.T @ J
+    tr = G[0, 0] + G[1, 1]
+    det = G[0, 0] * G[1, 1] - G[0, 1] * G[1, 0]
+    root = np.sqrt(max(tr * tr / 4.0 - det, 0.0))
+    return np.sqrt(tr / 2.0 + root), np.sqrt(max(tr / 2.0 - root, 0.0))
+
+
+def _disk_stack(seed):
+    mesh = random_disk_fixture(seed)
+    patch = Patch(mesh, np.arange(mesh.n_triangles))
+    param = parametrize(patch)
+    tris = patch.tri.triangles
+    return patch.tri.vertices[tris], param.uv[tris]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_stacked_paths_equal_triangle_loop(seed):
+    tri3d, tri_uv = _disk_stack(seed)
+    h = 0.3
+    J = triangle_jacobian(tri3d, tri_uv)
+    J_ref = np.array([_loop_jacobian(p, q) for p, q in zip(tri3d, tri_uv)])
+    assert np.array_equal(J, J_ref)
+    assert np.array_equal(
+        metric_tensor(J, h), np.array([Jt.T @ Jt / (h * h) for Jt in J_ref])
+    )
+    s1, s2 = singular_values(J)
+    ref = np.array([_loop_singular_values(Jt) for Jt in J_ref])
+    assert np.array_equal(s1, ref[:, 0])
+    assert np.array_equal(s2, ref[:, 1])
+
+
+def test_one_degenerate_triangle_in_a_stack_is_rejected():
+    tri3d, tri_uv = _disk_stack(0)
+    bad = tri_uv.copy()
+    k = len(bad) // 2
+    bad[k, 2] = bad[k, 1]  # zero UV area
+    with pytest.raises(MeshError):
+        triangle_jacobian(tri3d, bad)
+    J = triangle_jacobian(tri3d, tri_uv)
+    J[k, :, 1] = 2.0 * J[k, :, 0]  # rank one
+    with pytest.raises(MeshError):
+        metric_tensor(J, 0.3)

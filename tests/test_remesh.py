@@ -3,6 +3,7 @@ import pytest
 
 from fixtures import concave_hole_plate, cube, cylinder_shell
 
+from atlasmesh import remesh
 from atlasmesh.mesh import MeshError, validate
 from atlasmesh.pipeline import PipelineOptions, build_atlas, face_sample_loops, remesh_model
 from atlasmesh.remesh import (
@@ -67,10 +68,11 @@ def test_stitch_dedupes_shared_keys():
     tris = np.array([[0, 1, 2]])
     xyz_a = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], dtype=float)
     xyz_b = np.array([[1, 0, 0], [0, 0, 0], [0, 1, 5]], dtype=float)
+    loc = UVLocator(uv, tris)
     a = FaceMeshResult(uv, tris, {0: ("c", 0, 0), 1: ("c", 0, 1)},
-                       {0: xyz_a[0], 1: xyz_a[1]})
+                       {0: xyz_a[0], 1: xyz_a[1]}, loc)
     b = FaceMeshResult(uv, tris, {0: ("c", 0, 1), 1: ("c", 0, 0)},
-                       {0: xyz_b[0], 1: xyz_b[1]})
+                       {0: xyz_b[0], 1: xyz_b[1]}, loc)
     out = stitch([a, b], [xyz_a, xyz_b])
     assert out.n_vertices == 4  # two shared + two private
     assert out.n_triangles == 2
@@ -109,6 +111,19 @@ def test_remesh_plate_keeps_hole():
     mesh = concave_hole_plate()
     out, summary, _ = remesh_model(mesh, PipelineOptions(size=0.2))
     assert summary["output_boundary_loops"] == 2
+
+
+def test_one_locator_per_face(monkeypatch):
+    built = []
+
+    class CountingLocator(UVLocator):
+        def __init__(self, *args, **kwargs):
+            built.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(remesh, "UVLocator", CountingLocator)
+    _, _, atlas = remesh_model(cube(), PipelineOptions(size=0.25))
+    assert len(built) == len(atlas.brep.faces)
 
 
 def test_remesh_edge_lengths_near_target():
