@@ -11,13 +11,15 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .mesh import MeshError
 from .patch import Patch
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 logger = logging.getLogger(__name__)
 
@@ -58,6 +60,8 @@ def scheme_weight_matrix(vertices, triangles, scheme="mvc"):
     `vertices` may be 3D or 2D.  MVC rows are generally asymmetric, FEM
     rows symmetric.
     """
+    import scipy.sparse as sp
+
     tri = np.asarray(triangles, dtype=np.int64)
     p = np.asarray(vertices, dtype=np.float64)[tri]
     n = len(vertices)
@@ -183,6 +187,8 @@ def assemble_system(
     row per filled hole.  Assembly order is sorted by vertex id so runs
     are bit reproducible.
     """
+    import scipy.sparse as sp
+
     if hole_policy not in ("auto", "neumann", "fill"):
         raise MeshError(f"unknown hole policy: {hole_policy}")
     outer_loop, boundary_uv = apply_boundary(patch, outer_loop)
@@ -291,6 +297,8 @@ def signed_uv_areas(triangles, uv):
 
 def solve(patch: Patch, system: AssembledSystem) -> Parametrization:
     """Factor once, solve both coordinates, and verify residual/injectivity."""
+    import scipy.sparse.linalg as spla
+
     A = system.A
     if A.shape[0]:
         try:
@@ -326,6 +334,9 @@ def solve(patch: Patch, system: AssembledSystem) -> Parametrization:
 
 
 def _iterative_fallback(A, rhs):
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     d = A.diagonal()
     d[d == 0.0] = 1.0
     M = sp.diags(1.0 / d)

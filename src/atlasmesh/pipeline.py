@@ -197,6 +197,10 @@ def remesh_model(model: Triangulation, opt: PipelineOptions | None = None):
             "output_vertices": out.n_vertices,
             "output_boundary_loops": out_report.boundary_loop_count,
             "output_watertight": out_report.watertight,
+            "remesh_faces": [
+                {"passes": res.passes, "converged": res.converged}
+                for res, _ in meshed
+            ],
             "total_seconds": time.perf_counter() - t0,
         }
     )

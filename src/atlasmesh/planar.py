@@ -8,7 +8,6 @@ locally modified (split / collapse / flip / smooth) under a metric.
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial import Delaunay
 
 from .mesh import MeshError
 
@@ -239,6 +238,8 @@ def constrained_triangulation(points, constraint_edges, tol=1e-12):
     (the polyline geometry is unchanged).  Returns a PlanarMesh with the
     recovered edges marked constrained.
     """
+    from scipy.spatial import Delaunay
+
     pts = np.asarray(points, dtype=np.float64)
     if len(pts) < 3:
         raise MeshError("need at least 3 boundary points")

@@ -37,78 +37,135 @@ class SizeField:
 class UVLocator:
     """Point location over a patch's UV triangles with barycentric output.
 
-    A uniform grid bucket narrows candidates; queries fall back to an
-    exhaustive scan, accepting the best triangle when the point is inside
-    up to a small negative barycentric tolerance.
+    A query's answer is the triangle whose smallest barycentric weight
+    (its margin) is largest, the lowest triangle id winning ties; a point
+    is inside when that margin is at least -tol.
+
+    A grid narrows the candidates.  Its cell walls sit at quantiles of
+    the triangle centroids, so the triangles a mean-value map clusters
+    spread over many cells.  Each triangle is listed in every cell that
+    its bounding box, grown by `pad`, touches.  If a triangle's margin at
+    q is at least -tol, q lies within 2 tol times the box's width of the
+    box on each axis, so the triangle is listed in q's own cell.  A query
+    therefore scans its own cell only; a query whose cell holds no
+    triangle with margin >= -tol (a point outside the domain) scans every
+    triangle.
     """
+
+    BLOCK = 1 << 12  # (query, triangle) pairs evaluated at once: bounds the temporaries
 
     def __init__(self, uv, triangles, tol=1e-9):
         self.uv = np.asarray(uv, dtype=np.float64)
         self.tris = np.asarray(triangles, dtype=np.int64)
         self.tol = tol
         p = self.uv[self.tris]
-        self._a = p[:, 0]
-        self._e1 = p[:, 1] - p[:, 0]
-        self._e2 = p[:, 2] - p[:, 0]
-        d = self._e1[:, 0] * self._e2[:, 1] - self._e1[:, 1] * self._e2[:, 0]
+        e1 = p[:, 1] - p[:, 0]
+        e2 = p[:, 2] - p[:, 0]
+        d = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
         self._degenerate = d == 0.0
-        self._d = np.where(self._degenerate, 1.0, d)
-        self.lo = self.uv.min(axis=0)
-        hi = self.uv.max(axis=0)
-        ext = np.maximum(hi - self.lo, 1e-30)
-        ncell = max(1, int(np.sqrt(len(self.tris))))
+        # rows: corner 0 (x, y), edge 1 (x, y), edge 2 (x, y), determinant
+        self._coef = np.vstack([p[:, 0].T, e1.T, e2.T, np.where(self._degenerate, 1.0, d)])
+        m = len(self.tris)
+        lo = self.uv.min(axis=0)
+        ext = np.maximum(self.uv.max(axis=0) - lo, 1e-30)
+        ncell = max(1, int(np.sqrt(m)))
         self.ncell = ncell
-        self.cell = ext / ncell
-        self.buckets: dict[tuple[int, int], list[int]] = {}
-        tlo = np.floor((p.min(axis=1) - self.lo) / self.cell).astype(int)
-        thi = np.floor((p.max(axis=1) - self.lo) / self.cell).astype(int)
-        tlo = np.clip(tlo, 0, ncell - 1)
-        thi = np.clip(thi, 0, ncell - 1)
-        for t in range(len(self.tris)):
-            for i in range(tlo[t, 0], thi[t, 0] + 1):
-                for j in range(tlo[t, 1], thi[t, 1] + 1):
-                    self.buckets.setdefault((i, j), []).append(t)
+        self.cell = ext / ncell  # mean cell size
+        cen = p.mean(axis=1)
+        self._walls = np.sort(cen, axis=0)[np.arange(1, ncell) * m // ncell].T
+        pad = (2.0 * tol + 1e-6) * ext  # the 1e-6 covers rounding in the margins
+        clo = self._cell_ij(p.min(axis=1) - pad)
+        chi = self._cell_ij(p.max(axis=1) + pad)
+        span = chi - clo + 1
+        count = span[:, 0] * span[:, 1]
+        tri = np.repeat(np.arange(m), count)
+        k = np.arange(len(tri)) - np.repeat(np.cumsum(count) - count, count)
+        cell = (clo[tri, 0] + k // span[tri, 1]) * ncell + clo[tri, 1] + k % span[tri, 1]
+        order = np.argsort(cell, kind="stable")  # ascending triangle ids per cell
+        self._cell_tris = tri[order]
+        self._cell_start = np.concatenate(
+            [[0], np.cumsum(np.bincount(cell, minlength=ncell * ncell))]
+        )
 
-    def _best(self, q, candidates):
-        """Candidate with the least-negative barycentric coordinate."""
-        idx = np.asarray(candidates, dtype=np.int64)
-        if idx.size == 0:
-            return -1, None, -np.inf
-        r = q - self._a[idx]
-        w1 = (r[:, 0] * self._e2[idx, 1] - r[:, 1] * self._e2[idx, 0]) / self._d[idx]
-        w2 = (self._e1[idx, 0] * r[:, 1] - self._e1[idx, 1] * r[:, 0]) / self._d[idx]
-        w0 = 1.0 - w1 - w2
-        m = np.minimum(np.minimum(w0, w1), w2)
-        m[self._degenerate[idx]] = -np.inf
-        k = int(np.argmin(-m))  # first (lowest candidate) maximum
-        return int(idx[k]), np.array([w0[k], w1[k], w2[k]]), float(m[k])
+    def _cell_ij(self, X):
+        """(n, 2) grid cell indices of (n, 2) points; outside points clamp."""
+        return np.column_stack([
+            np.searchsorted(self._walls[0], X[:, 0], side="right"),
+            np.searchsorted(self._walls[1], X[:, 1], side="right"),
+        ])
 
-    def locate(self, q, clamp=False):
-        """(triangle id, barycentric weights) of the containing triangle.
+    def _best(self, Q, lists, start, cnt):
+        """Per query q, the best triangle of lists[start[q]:start[q] + cnt[q]].
+
+        Returns (t, margin, weights); t is -1 and the margin -inf where the
+        list is empty.  Lists must hold ascending triangle ids.
+        """
+        n = len(Q)
+        t = np.full(n, -1, dtype=np.int64)
+        top = np.full(n, -np.inf)
+        w = np.zeros((n, 3))
+        ends = np.cumsum(cnt)
+        lo = 0
+        while lo < n:
+            done = ends[lo - 1] if lo else 0
+            hi = max(lo + 1, int(np.searchsorted(ends, done + self.BLOCK, side="right")))
+            rows = lo + np.flatnonzero(cnt[lo:hi])
+            lo = hi
+            if rows.size == 0:
+                continue
+            c = cnt[rows]
+            first = np.cumsum(c) - c
+            cand = lists[np.arange(first[-1] + c[-1]) - np.repeat(first - start[rows], c)]
+            ax, ay, e1x, e1y, e2x, e2y, d = self._coef[:, cand]
+            qx, qy = Q[np.repeat(rows, c)].T
+            rx = qx - ax
+            ry = qy - ay
+            w1 = (rx * e2y - ry * e2x) / d
+            w2 = (e1x * ry - e1y * rx) / d
+            w0 = 1.0 - w1 - w2
+            margin = np.minimum(np.minimum(w0, w1), w2)
+            margin[self._degenerate[cand]] = -np.inf
+            mx = np.maximum.reduceat(margin, first)
+            hit = np.flatnonzero(margin == np.repeat(mx, c))
+            k = hit[np.searchsorted(hit, first)]  # first maximum of each list
+            t[rows] = cand[k]
+            top[rows] = mx
+            w[rows] = np.column_stack([w0[k], w1[k], w2[k]])
+        return t, top, w
+
+    def locate_many(self, Q, clamp=False):
+        """((n,) triangle ids, (n, 3) barycentric weights) of (n, 2) points.
 
         With clamp=True a point outside the domain is attached to the
         best available triangle with clipped weights (boundary-chord
         queries near holes fall slightly outside the triangulated UV
-        region); otherwise it is an error.
+        region); otherwise the first such point is an error.
         """
-        q = np.asarray(q, dtype=np.float64)
-        ij = np.floor((q - self.lo) / self.cell).astype(int)
-        i, j = (int(np.clip(ij[0], 0, self.ncell - 1)),
-                int(np.clip(ij[1], 0, self.ncell - 1)))
-        cand = sorted(
-            {
-                t
-                for di in (-1, 0, 1)
-                for dj in (-1, 0, 1)
-                for t in self.buckets.get((i + di, j + dj), ())
-            }
-        )
-        t, b, m = self._best(q, cand)
-        if m < -self.tol:
-            t, b, m = self._best(q, range(len(self.tris)))
-        if m >= -self.tol or (clamp and t >= 0):
-            return t, np.clip(b, 0.0, None) / np.clip(b, 0.0, None).sum()
-        raise MeshError(f"UV point {q} outside parametric domain (margin {m:.2e})")
+        Q = np.asarray(Q, dtype=np.float64).reshape(-1, 2)
+        ij = self._cell_ij(Q)
+        cell = ij[:, 0] * self.ncell + ij[:, 1]
+        start = self._cell_start[cell]
+        t, top, w = self._best(Q, self._cell_tris, start, self._cell_start[cell + 1] - start)
+        far = np.flatnonzero(top < -self.tol)
+        if far.size:
+            m = len(self.tris)
+            t[far], top[far], w[far] = self._best(
+                Q[far], np.arange(m), np.zeros(far.size, dtype=np.int64),
+                np.full(far.size, m),
+            )
+        ok = (top >= -self.tol) | (clamp & (t >= 0))
+        if not ok.all():
+            i = int(np.argmin(ok))
+            raise MeshError(
+                f"UV point {Q[i]} outside parametric domain (margin {top[i]:.2e})"
+            )
+        w = np.clip(w, 0.0, None)
+        return t, w / ((w[:, 0] + w[:, 1]) + w[:, 2])[:, None]
+
+    def locate(self, q, clamp=False):
+        """(triangle id, barycentric weights) of one point; see locate_many."""
+        t, w = self.locate_many(q, clamp)
+        return int(t[0]), w[0]
 
 
 class FaceMetric:
@@ -120,16 +177,19 @@ class FaceMetric:
         J = triangle_jacobian(patch.tri.vertices[tris], param.uv[tris])
         self.tensors = metric_tensor(J, h)  # (m, 2, 2), one per triangle
 
-    def at(self, q):
-        t, _ = self.locator.locate(q, clamp=True)
+    def at(self, X):
+        """(n, 2, 2) metric tensors at (n, 2) points."""
+        t, _ = self.locator.locate_many(X, clamp=True)
         return self.tensors[t]
 
-    def edge_length(self, p, q):
-        d = np.asarray(q) - np.asarray(p)
+    def edge_lengths(self, P, Q):
+        """(n,) metric lengths of segments P[k] -> Q[k], two Gauss points each."""
+        P = np.asarray(P, dtype=np.float64).reshape(-1, 2)
+        D = np.asarray(Q, dtype=np.float64).reshape(-1, 2) - P
         total = 0.0
         for g in GAUSS:
-            M = self.at(np.asarray(p) + g * d)
-            total += 0.5 * float(np.sqrt(max(d @ M @ d, 0.0)))
+            sq = (D[:, None, :] @ self.at(P + g * D) @ D[:, :, None])[:, 0, 0]
+            total = total + 0.5 * np.sqrt(np.maximum(sq, 0.0))
         return total
 
     def angle(self, M, u, v):
@@ -138,7 +198,7 @@ class FaceMetric:
         if nu == 0.0 or nv == 0.0:
             return 0.0
         c = float(u @ M @ v) / (nu * nv)
-        return float(np.arccos(np.clip(c, -1.0, 1.0)))
+        return float(np.arccos(min(max(c, -1.0), 1.0)))
 
 
 def discretize_curve(points3d, h, closed=False):
@@ -181,6 +241,8 @@ class FaceMeshResult:
     boundary_key: dict  # local vertex -> hashable global key
     xyz_boundary: dict  # local vertex -> exact 3D position
     locator: UVLocator  # the face's parametric triangles, for map_to_3d
+    passes: int = 0  # adaptation passes run
+    converged: bool = False  # the last pass changed nothing
 
 
 def mesh_patch_uv(
@@ -221,14 +283,24 @@ def mesh_patch_uv(
 
     n_fixed = len(points)
 
-    def mlen(edge):
-        return metric.edge_length(mesh.points[edge[0]], mesh.points[edge[1]])
+    def ends(edges):
+        pts = np.asarray(mesh.points)
+        e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        return pts[e[:, 0]], pts[e[:, 1]]
 
-    for _ in range(passes):
+    # Split, collapse and flip each read the metric in one call at their
+    # start.  Splits act on the lengths they start with, and collapses and
+    # flips move no vertex that survives, so every edge they visit still
+    # has the ends it had then.  Smoothing moves vertices and stays serial.
+    done = 0
+    converged = False
+    while done < passes and not converged:
+        done += 1
         changed = False
         # split long edges, longest first
-        lens = [(mlen(e), e) for e in mesh.edges()]
-        lens.sort(key=lambda x: (-x[0], x[1]))
+        edges = mesh.edges()
+        lens = sorted(zip(metric.edge_lengths(*ends(edges)).tolist(), edges),
+                      key=lambda x: (-x[0], x[1]))
         for ln, e in lens:
             if ln <= METRIC_LONG or e in mesh.constrained:
                 continue
@@ -236,15 +308,20 @@ def mesh_patch_uv(
                 if mesh.split_edge(e) is not None:
                     changed = True
         # collapse short interior edges
-        for e in sorted(mesh.edges()):
-            if e not in mesh.e2t or e in mesh.constrained:
-                continue
-            if e[0] >= n_fixed or e[1] >= n_fixed:
-                if mlen(e) < METRIC_SHORT and mesh.collapse(e):
-                    changed = True
+        edges = [
+            e for e in sorted(mesh.edges())
+            if e not in mesh.constrained and (e[0] >= n_fixed or e[1] >= n_fixed)
+        ]
+        short = metric.edge_lengths(*ends(edges)) < METRIC_SHORT
+        for e, is_short in zip(edges, short):
+            if is_short and e in mesh.e2t and mesh.collapse(e):
+                changed = True
         # metric Delaunay flips
-        for e in sorted(mesh.edges()):
-            if e not in mesh.e2t or e in mesh.constrained:
+        edges = [e for e in sorted(mesh.edges()) if e not in mesh.constrained]
+        a, b = ends(edges)
+        tensors = metric.at(0.5 * (a + b))
+        for e, M in zip(edges, tensors):
+            if e not in mesh.e2t:
                 continue
             tids = mesh.e2t[e]
             if len(tids) != 2:
@@ -253,10 +330,6 @@ def mesh_patch_uv(
             if len(opp) != 2:
                 continue
             pa, pb = mesh.points[e[0]], mesh.points[e[1]]
-            try:
-                M = metric.at(0.5 * (pa + pb))
-            except MeshError:
-                continue
             ang = sum(
                 metric.angle(M, pa - mesh.points[o], pb - mesh.points[o])
                 for o in opp
@@ -280,8 +353,7 @@ def mesh_patch_uv(
                 continue
             if mesh.move_vertex(v, target):
                 changed = True
-        if not changed:
-            break
+        converged = not changed
 
     pts, tris, used = mesh.compact()
     areas = (
@@ -304,6 +376,8 @@ def mesh_patch_uv(
         boundary_key=boundary_key,
         xyz_boundary=xyz_boundary,
         locator=metric.locator,
+        passes=done,
+        converged=converged,
     )
 
 
@@ -315,13 +389,12 @@ def map_to_3d(result: FaceMeshResult, patch) -> np.ndarray:
     parametric triangle, found by the locator the face's metric built.
     """
     out = np.empty((len(result.uv_points), 3))
-    for v in range(len(result.uv_points)):
-        if v in result.xyz_boundary:
-            out[v] = result.xyz_boundary[v]
-            continue
-        t, bary = result.locator.locate(result.uv_points[v], clamp=True)
-        corners = patch.tri.vertices[patch.tri.triangles[t]]
-        out[v] = bary @ corners
+    for v, xyz in result.xyz_boundary.items():
+        out[v] = xyz
+    inner = np.setdiff1d(np.arange(len(out)), list(result.xyz_boundary))
+    t, bary = result.locator.locate_many(result.uv_points[inner], clamp=True)
+    corners = patch.tri.vertices[patch.tri.triangles[t]]
+    out[inner] = (bary[:, None, :] @ corners)[:, 0]
     return out
 
 

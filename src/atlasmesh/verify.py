@@ -10,9 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.spatial import Delaunay
 
 from .mesh import Adjacency, MeshError, Triangulation
 from .param import scheme_weight_matrix
@@ -42,6 +39,8 @@ def build_square_mesh(kind, n, seed=1) -> Triangulation:
     interior points, triangulated by scipy; the jitter is seeded, so the
     mesh is identical across runs.
     """
+    from scipy.spatial import Delaunay
+
     if n < 2:
         raise MeshError("resolution must be at least 2")
     h = 1.0 / n
@@ -92,6 +91,9 @@ def boundary_vertices(mesh: Triangulation, adj: Adjacency | None = None):
 
 def solve_laplace(mesh: Triangulation, scheme) -> np.ndarray:
     """Nodal field with manufactured Dirichlet data on the whole boundary."""
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     W = scheme_weight_matrix(mesh.vertices, mesh.triangles, scheme)
     n = mesh.n_vertices
     L = sp.diags(np.asarray(W.sum(axis=1)).ravel()) - W
@@ -112,6 +114,8 @@ def solve_laplace(mesh: Triangulation, scheme) -> np.ndarray:
 
 def scheme_residual(mesh: Triangulation, scheme, field):
     """Interior-row residuals of the assembled scheme for a given field."""
+    import scipy.sparse as sp
+
     W = scheme_weight_matrix(mesh.vertices, mesh.triangles, scheme)
     L = sp.diags(np.asarray(W.sum(axis=1)).ravel()) - W
     r = L @ field

@@ -1,9 +1,13 @@
-"""Shared geometric fixtures for the test suite."""
+"""Shared fixtures for the test suite: geometric models and a child-process environment."""
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import numpy as np
 
+import atlasmesh
 from atlasmesh.mesh import Triangulation
 from atlasmesh.planar import clip_to_loops, constrained_triangulation, winding_number
 
@@ -185,6 +189,14 @@ def _star_polygon(rng, n, rmin, rmax):
     ang = 2 * np.pi * np.arange(n) / n + rng.uniform(-0.3, 0.3, n) * (2 * np.pi / n)
     rad = rng.uniform(rmin, rmax, n)
     return [np.array([r * np.cos(a), r * np.sin(a)]) for r, a in zip(rad, ang)]
+
+
+def package_env():
+    """Environment for a child `python -m atlasmesh...` that imports the
+    same atlasmesh as this process, installed or not."""
+    src = str(Path(atlasmesh.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
 
 
 def random_disk_fixture(seed):

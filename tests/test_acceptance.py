@@ -10,6 +10,7 @@ from fixtures import (
     concave_hole_plate,
     cube,
     cylinder_shell,
+    package_env,
     planar_fixture,
     random_disk_fixture,
     sphere,
@@ -378,7 +379,7 @@ def test_9_thread_determinism(tmp_path):
                     str(src), "--size", str(size),
                     "--threads", str(threads), "-o", str(dst),
                 ],
-                capture_output=True, text=True,
+                capture_output=True, text=True, env=package_env(),
             )
             assert proc.returncode == 0, proc.stderr
             outs.append(dst.read_bytes())

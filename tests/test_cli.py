@@ -1,9 +1,11 @@
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from fixtures import cube, cylinder_shell
+from fixtures import cube, cylinder_shell, package_env
 
 from atlasmesh.cli import main
 from atlasmesh.io import load_surface, write_mesh
@@ -23,6 +25,21 @@ def test_info_reports_topology(cube_file, capsys):
     assert out["watertight"] is True
     assert out["genus"] == 0
     assert out["parametrizable"] is False
+
+
+def test_import_and_info_leave_scipy_unloaded(cube_file):
+    script = (
+        "import sys, atlasmesh\n"
+        "assert 'scipy' not in sys.modules, 'import atlasmesh loaded scipy'\n"
+        "from atlasmesh.cli import main\n"
+        "rc = main(['info', sys.argv[1]])\n"
+        "assert 'scipy' not in sys.modules, 'atlasmesh info loaded scipy'\n"
+        "sys.exit(rc)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script, str(cube_file)],
+                          capture_output=True, text=True, env=package_env())
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["triangles"] == 12
 
 
 def test_info_missing_file_gives_json_error(tmp_path, capsys):

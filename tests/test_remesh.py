@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
 
-from fixtures import concave_hole_plate, cube, cylinder_shell
+from fixtures import concave_hole_plate, cube, cylinder_shell, random_disk_fixture, torus
 
 from atlasmesh import remesh
 from atlasmesh.mesh import MeshError, validate
+from atlasmesh.param import ParamOptions, parametrize
+from atlasmesh.patch import Patch
 from atlasmesh.pipeline import PipelineOptions, build_atlas, face_sample_loops, remesh_model
 from atlasmesh.remesh import (
+    GAUSS,
     FaceMeshResult,
+    FaceMetric,
     SizeField,
     UVLocator,
     discretize_curve,
@@ -63,6 +67,151 @@ def test_locator_barycentric_identity():
     assert b.sum() == pytest.approx(1.0)
 
 
+class PointLocator:
+    """Reference: one query at a time over dict buckets of a uniform grid,
+    the 3x3 cells around the query, then every triangle."""
+
+    def __init__(self, uv, triangles, tol=1e-9):
+        self.uv = np.asarray(uv, dtype=np.float64)
+        self.tris = np.asarray(triangles, dtype=np.int64)
+        self.tol = tol
+        p = self.uv[self.tris]
+        self._a = p[:, 0]
+        self._e1 = p[:, 1] - p[:, 0]
+        self._e2 = p[:, 2] - p[:, 0]
+        d = self._e1[:, 0] * self._e2[:, 1] - self._e1[:, 1] * self._e2[:, 0]
+        self._degenerate = d == 0.0
+        self._d = np.where(self._degenerate, 1.0, d)
+        self.lo = self.uv.min(axis=0)
+        ext = np.maximum(self.uv.max(axis=0) - self.lo, 1e-30)
+        self.ncell = max(1, int(np.sqrt(len(self.tris))))
+        self.cell = ext / self.ncell
+        self.buckets = {}
+        tlo = np.clip(np.floor((p.min(axis=1) - self.lo) / self.cell).astype(int),
+                      0, self.ncell - 1)
+        thi = np.clip(np.floor((p.max(axis=1) - self.lo) / self.cell).astype(int),
+                      0, self.ncell - 1)
+        for t in range(len(self.tris)):
+            for i in range(tlo[t, 0], thi[t, 0] + 1):
+                for j in range(tlo[t, 1], thi[t, 1] + 1):
+                    self.buckets.setdefault((i, j), []).append(t)
+
+    def _best(self, q, candidates):
+        idx = np.asarray(candidates, dtype=np.int64)
+        if idx.size == 0:
+            return -1, None, -np.inf
+        r = q - self._a[idx]
+        w1 = (r[:, 0] * self._e2[idx, 1] - r[:, 1] * self._e2[idx, 0]) / self._d[idx]
+        w2 = (self._e1[idx, 0] * r[:, 1] - self._e1[idx, 1] * r[:, 0]) / self._d[idx]
+        w0 = 1.0 - w1 - w2
+        m = np.minimum(np.minimum(w0, w1), w2)
+        m[self._degenerate[idx]] = -np.inf
+        k = int(np.argmin(-m))
+        return int(idx[k]), np.array([w0[k], w1[k], w2[k]]), float(m[k])
+
+    def locate(self, q, clamp=False):
+        q = np.asarray(q, dtype=np.float64)
+        ij = np.floor((q - self.lo) / self.cell).astype(int)
+        i = int(np.clip(ij[0], 0, self.ncell - 1))
+        j = int(np.clip(ij[1], 0, self.ncell - 1))
+        cand = sorted({
+            t for di in (-1, 0, 1) for dj in (-1, 0, 1)
+            for t in self.buckets.get((i + di, j + dj), ())
+        })
+        t, b, m = self._best(q, cand)
+        if m < -self.tol:
+            t, b, m = self._best(q, range(len(self.tris)))
+        if m >= -self.tol or (clamp and t >= 0):
+            return t, np.clip(b, 0.0, None) / np.clip(b, 0.0, None).sum()
+        raise MeshError(f"UV point {q} outside parametric domain (margin {m:.2e})")
+
+
+@pytest.fixture(scope="module")
+def uv_faces():
+    """(name, patch, param): the eight kinds of random disk and a torus face."""
+    faces = []
+    for seed in range(8):
+        mesh = random_disk_fixture(seed)
+        patch = Patch(mesh, np.arange(mesh.n_triangles))
+        faces.append((f"disk{seed}", patch, parametrize(patch, ParamOptions())))
+    atlas = build_atlas(torus(), PipelineOptions(size=0.3))
+    faces.append(("torus", atlas.patches[0], atlas.params[0]))
+    return faces
+
+
+def _queries(uv, tris, seed):
+    """Random interior points, vertices, edge midpoints; then outside points."""
+    rng = np.random.default_rng(seed)
+    pick = rng.integers(0, len(tris), 300)
+    inside = np.concatenate([
+        np.einsum("ij,ijk->ik", rng.dirichlet([1, 1, 1], 300), uv[tris[pick]]),
+        uv[np.unique(tris)],
+        0.5 * (uv[tris] + uv[np.roll(tris, 1, axis=1)]).reshape(-1, 2),
+    ])
+    lo, hi = uv.min(axis=0), uv.max(axis=0)
+    ring = rng.uniform(0.0, 2.0 * np.pi, 100)
+    outside = np.concatenate([
+        0.5 * (lo + hi) + (hi - lo) * np.column_stack([np.cos(ring), np.sin(ring)]),
+        [lo - [1e-7, 0.0]],
+        rng.uniform(lo - 0.1 * (hi - lo), hi + 0.1 * (hi - lo), (100, 2)),
+    ])
+    return inside, outside
+
+
+def _reference(ref, Q, clamp):
+    out = [ref.locate(q, clamp) for q in Q]
+    return np.array([t for t, _ in out]), np.array([b for _, b in out]).reshape(-1, 3)
+
+
+@pytest.mark.parametrize("clamp", [False, True])
+def test_locate_many_equals_point_locator(uv_faces, clamp):
+    for k, (name, patch, param) in enumerate(uv_faces):
+        ref = PointLocator(param.uv, patch.tri.triangles)
+        loc = UVLocator(param.uv, patch.tri.triangles)
+        inside, outside = _queries(param.uv, patch.tri.triangles, k)
+        Q = np.concatenate([inside, outside]) if clamp else inside
+        t, b = loc.locate_many(Q, clamp)
+        t_ref, b_ref = _reference(ref, Q, clamp)
+        assert np.array_equal(t, t_ref), name
+        assert np.array_equal(b, b_ref), name
+        t1, b1 = loc.locate(Q[0], clamp)
+        assert (t1, b1.tolist()) == (t_ref[0], b_ref[0].tolist())
+
+
+def test_locate_many_rejects_the_first_outside_point(uv_faces):
+    for k, (name, patch, param) in enumerate(uv_faces):
+        ref = PointLocator(param.uv, patch.tri.triangles)
+        loc = UVLocator(param.uv, patch.tri.triangles)
+        inside, outside = _queries(param.uv, patch.tri.triangles, k)
+        far = outside[0]
+        with pytest.raises(MeshError) as expected:
+            ref.locate(far)
+        batch = np.concatenate([inside[:50], [far], outside[1:], inside[50:]])
+        with pytest.raises(MeshError) as got:
+            loc.locate_many(batch)
+        assert str(got.value) == str(expected.value), name
+        with pytest.raises(MeshError):
+            loc.locate(far)
+
+
+def test_edge_lengths_equal_scalar_gauss_formula(uv_faces):
+    for k, (name, patch, param) in enumerate(uv_faces):
+        metric = FaceMetric(patch, param, 0.3)
+        ref = PointLocator(param.uv, patch.tri.triangles)
+        inside, outside = _queries(param.uv, patch.tri.triangles, k)
+        P = np.concatenate([inside, outside])
+        Q = np.roll(P, 7, axis=0)
+        want = []
+        for p, q in zip(P, Q):
+            d = q - p
+            total = 0.0
+            for g in GAUSS:
+                M = metric.tensors[ref.locate(p + g * d, clamp=True)[0]]
+                total += 0.5 * float(np.sqrt(max(d @ M @ d, 0.0)))
+            want.append(total)
+        assert np.array_equal(metric.edge_lengths(P, Q), want), name
+
+
 def test_stitch_dedupes_shared_keys():
     uv = np.array([[0, 0], [1, 0], [0, 1]], dtype=float)
     tris = np.array([[0, 1, 2]])
@@ -111,6 +260,16 @@ def test_remesh_plate_keeps_hole():
     mesh = concave_hole_plate()
     out, summary, _ = remesh_model(mesh, PipelineOptions(size=0.2))
     assert summary["output_boundary_loops"] == 2
+
+
+def test_summary_reports_adaptation_per_face():
+    _, summary, atlas = remesh_model(cube(), PipelineOptions(size=0.25))
+    faces = summary["remesh_faces"]
+    assert len(faces) == len(atlas.brep.faces)
+    for face in faces:
+        assert 1 <= face["passes"] <= 10
+        assert isinstance(face["converged"], bool)
+        assert face["converged"] or face["passes"] == 10  # stops early only when done
 
 
 def test_one_locator_per_face(monkeypatch):
