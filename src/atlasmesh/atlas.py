@@ -26,14 +26,15 @@ class SplitRecord:
 
 
 def _dual_graph(patch: Patch):
-    nbrs: list[list[int]] = [[] for _ in range(patch.n_triangles)]
-    for edge, ts in patch.adj.edge_tris.items():
-        if len(ts) == 2:
-            nbrs[ts[0]].append(ts[1])
-            nbrs[ts[1]].append(ts[0])
-    for lst in nbrs:
-        lst.sort()
-    return nbrs
+    """Sorted neighbour lists of the triangles across two-triangle edges."""
+    adj = patch.adj
+    pairs = adj.edge_tri[adj.edge_count == 2]
+    src = np.concatenate([pairs[:, 0], pairs[:, 1]])
+    dst = np.concatenate([pairs[:, 1], pairs[:, 0]])
+    order = np.lexsort((dst, src))
+    ends = np.cumsum(np.bincount(src, minlength=patch.n_triangles)).tolist()
+    dst = dst[order].tolist()
+    return [dst[s:e] for s, e in zip([0] + ends[:-1], ends)]
 
 
 def _bfs_farthest(nbrs, seed):

@@ -44,44 +44,45 @@ def detect_feature_edges(
     # 180 disables interior detection: no dihedral can exceed it
     if not (0.0 < threshold_deg <= 180.0):
         raise MeshError("feature angle threshold must lie in (0, 180] degrees")
+    if (adj.edge_count > 2).any():
+        raise MeshError("non-manifold edge in feature detection")
+    inner = adj.edge_count == 2
     normals = tri.triangle_normals()
-    out = FeatureEdgeSet(threshold_deg=threshold_deg)
-    for edge, ts in adj.edge_tris.items():
-        if len(ts) == 1:
-            out.edges.add(edge)
-            out.angles[edge] = 0.0
-            continue
-        if len(ts) != 2:
-            raise MeshError("non-manifold edge in feature detection")
-        d = float(np.clip(np.dot(normals[ts[0]], normals[ts[1]]), -1.0, 1.0))
-        ang = float(np.degrees(np.arccos(d)))
-        if ang > threshold_deg:
-            out.edges.add(edge)
-            out.angles[edge] = ang
-    return out
+    n0 = normals[adj.edge_tri[inner, 0]]
+    n1 = normals[adj.edge_tri[inner, 1]]
+    # a stacked `@` keeps the bits of a per-edge np.dot; einsum does not
+    d = np.clip((n0[:, None, :] @ n1[:, :, None])[:, 0, 0], -1.0, 1.0)
+    angles = np.zeros(len(inner))  # boundary edges read 0
+    angles[inner] = np.degrees(np.arccos(d))
+    tagged = (adj.edge_count == 1) | (angles > threshold_deg)
+    edges = list(map(tuple, adj.edges[tagged].tolist()))
+    return FeatureEdgeSet(
+        edges=set(edges),
+        angles=dict(zip(edges, angles[tagged].tolist())),
+        threshold_deg=threshold_deg,
+    )
 
 
 def segment_patches(
     tri: Triangulation, adj: Adjacency, features: FeatureEdgeSet
 ) -> PatchSet:
-    """Flood-fill triangles into maximal patches not crossing feature edges."""
-    pid = np.full(tri.n_triangles, -1, dtype=np.int64)
-    n = 0
-    for seed in range(tri.n_triangles):
-        if pid[seed] >= 0:
-            continue
-        stack = [seed]
-        pid[seed] = n
-        while stack:
-            t = stack.pop()
-            a, b, c = (int(v) for v in tri.triangles[t])
-            for u, v in ((a, b), (b, c), (c, a)):
-                edge = (u, v) if u < v else (v, u)
-                if edge in features.edges:
-                    continue
-                o = adj.other_triangle(edge, t)
-                if o is not None and pid[o] < 0:
-                    pid[o] = n
-                    stack.append(o)
-        n += 1
-    return PatchSet(patch_of_triangle=pid, n_patches=n)
+    """Label triangles by maximal patches not crossing feature edges.
+
+    Patches are the connected components of the triangles joined across
+    interior non-feature edges, numbered by their smallest triangle id.
+    """
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    n = tri.n_triangles
+    feat = np.asarray(sorted(features.edges), dtype=np.int64).reshape(-1, 2)
+    pack = max(tri.n_vertices, 1)
+    is_feature = np.isin(adj.edges @ [pack, 1], feat @ [pack, 1])
+    a, b = adj.edge_tri[(adj.edge_count == 2) & ~is_feature].T
+    graph = coo_matrix((np.ones(len(a)), (a, b)), shape=(n, n))
+    _, label = connected_components(graph, directed=False)
+    # renumber by smallest triangle id, as a flood fill from triangle 0 does
+    _, first = np.unique(label, return_index=True)
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(len(first))
+    return PatchSet(patch_of_triangle=rank[label], n_patches=len(first))

@@ -19,26 +19,24 @@ from .mesh import MeshError, Triangulation
 def _weld(raw_vertices, raw_triangles, tolerance=0.0):
     """Merge duplicate vertices.
 
-    With tolerance 0 only bit-identical coordinates merge (STL repeats
-    every facet corner).  A positive tolerance snaps to a grid of that
-    spacing, for dirty scans.
+    With tolerance 0 only equal coordinates merge (STL repeats every
+    facet corner; +0.0 and -0.0 are equal).  A positive tolerance snaps
+    to a grid of that spacing, for dirty scans.  Vertices keep the
+    coordinates and the order of their first occurrence.
     """
-    seen: dict[tuple, int] = {}
-    index = np.empty(len(raw_vertices), dtype=np.int64)
-    verts = []
-    for i, p in enumerate(raw_vertices):
-        if tolerance > 0.0:
-            key = tuple(np.round(np.asarray(p) / tolerance).astype(np.int64))
-        else:
-            key = (float(p[0]), float(p[1]), float(p[2]))
-        j = seen.get(key)
-        if j is None:
-            j = len(verts)
-            seen[key] = j
-            verts.append(p)
-        index[i] = j
+    raw = np.asarray(raw_vertices, dtype=np.float64).reshape(-1, 3)
+    keys = np.round(raw / tolerance).astype(np.int64) if tolerance > 0.0 else raw
+    # rows compare by value, so +0.0 and -0.0 merge
+    _, first, inverse = np.unique(
+        keys, axis=0, return_index=True, return_inverse=True
+    )
+    # renumber the unique rows in order of first occurrence
+    order = np.argsort(first)
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[order] = np.arange(len(first))
+    index = rank[inverse.ravel()]
     tris = index[np.asarray(raw_triangles, dtype=np.int64)]
-    return np.asarray(verts, dtype=np.float64), tris
+    return raw[first[order]], tris
 
 
 def _check_finite(arr):

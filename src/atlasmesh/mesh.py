@@ -84,47 +84,60 @@ class Triangulation:
 
 
 class Adjacency:
-    """Edge and star connectivity of a triangulation.
+    """Edge connectivity of a triangulation, as arrays over sorted edges.
 
-    Edges are keyed by sorted vertex pair.  Orientation is recovered from
-    the triangle winding: a directed edge (a, b) belongs to the triangle
-    that traverses a then b.
+    Half-edge `3t+k` runs from `triangles[t, k]` to `triangles[t, (k+1) % 3]`;
+    orientation is recovered from it.
+
+    Attributes
+    ----------
+    edges : ndarray
+        (E, 2) sorted vertex pairs, in ascending order.
+    half_edge : ndarray
+        (3m,) edge id of each half-edge.
+    edge_count : ndarray
+        (E,) number of half-edges (triangles) on each edge.
+    edge_tri : ndarray
+        (E, 2) the first two triangles of each edge, in ascending id, with
+        -1 where there is none.
+    boundary_edges : set
+        Sorted vertex pairs of the edges with one triangle.
     """
 
     def __init__(self, tri: Triangulation):
-        edge_tris: dict[tuple[int, int], list[int]] = {}
-        directed: dict[tuple[int, int], list[int]] = {}
-        stars: list[list[int]] = [[] for _ in range(tri.n_vertices)]
-        for t, (a, b, c) in enumerate(tri.triangles):
-            a, b, c = int(a), int(b), int(c)
-            stars[a].append(t)
-            stars[b].append(t)
-            stars[c].append(t)
-            for u, v in ((a, b), (b, c), (c, a)):
-                key = (u, v) if u < v else (v, u)
-                edge_tris.setdefault(key, []).append(t)
-                directed.setdefault((u, v), []).append(t)
-        self.edge_tris = edge_tris
-        self.directed = directed
-        self.vertex_stars = stars
-        self.boundary_edges = {e for e, ts in edge_tris.items() if len(ts) == 1}
+        n = max(tri.n_vertices, 1)
+        src = tri.triangles.ravel()
+        dst = tri.triangles[:, [1, 2, 0]].ravel()
+        lo, hi = np.minimum(src, dst), np.maximum(src, dst)
+        keys, self.half_edge, self.edge_count = np.unique(
+            lo * n + hi, return_inverse=True, return_counts=True
+        )
+        self.edges = np.column_stack([keys // n, keys % n])
+        # half-edges grouped by edge, ascending (so by triangle id) in a group
+        order = np.argsort(self.half_edge, kind="stable")
+        first = np.cumsum(self.edge_count) - self.edge_count
+        two = self.edge_count >= 2
+        self.edge_tri = np.full((len(keys), 2), -1, dtype=np.int64)
+        self.edge_tri[:, 0] = order[first] // 3
+        self.edge_tri[two, 1] = order[first[two] + 1] // 3
+        self._manifold = bool((self.edge_count <= 2).all())
+        # consistent orientation: no directed edge is traversed twice
+        forward = src < dst
+        pair = order[first[self.edge_count == 2][:, None] + np.arange(2)]
+        self._oriented = self._manifold and bool(
+            (forward[pair[:, 0]] != forward[pair[:, 1]]).all()
+        )
+        self.boundary_edges = set(map(tuple, self.edges[self.edge_count == 1].tolist()))
 
     @property
     def n_edges(self):
-        return len(self.edge_tris)
+        return len(self.edges)
 
     def is_manifold(self):
-        return all(len(ts) <= 2 for ts in self.edge_tris.values())
+        return self._manifold
 
     def is_oriented(self):
-        # consistent orientation: no directed edge is traversed twice
-        return all(len(ts) == 1 for ts in self.directed.values())
-
-    def other_triangle(self, edge, t):
-        ts = self.edge_tris[edge]
-        if len(ts) != 2:
-            return None
-        return ts[0] if ts[1] == t else ts[1]
+        return self._oriented
 
 
 @dataclass
@@ -156,57 +169,66 @@ class TopologyInfo:
         return self.t - (2 * (self.p - 1) + 2 * (self.b - 1) - self.h + 4 * self.g)
 
 
-def _third_vertex(tri_verts, a, b):
-    for v in tri_verts:
-        if v != a and v != b:
-            return int(v)
-    raise MeshError("degenerate triangle connectivity")
-
-
 def boundary_loops(tri: Triangulation, adj: Adjacency):
     """Extract boundary loops as ordered vertex cycles.
 
     Each directed boundary edge is oriented as traversed by its unique
     triangle, so loops wind consistently with the surface (surface to the
-    left).  The successor of a directed edge is found by rotating around
-    its end vertex through the triangle fan, which stays correct at pinch
-    vertices shared by several loops.
+    left).  A loop starts at the smallest unused directed boundary edge.
+    The successor of a directed edge (a, b) is found by rotating around b
+    through the triangle fan, each step crossing the edge from b to the
+    vertex that is neither b nor the previous one; this stays correct at
+    pinch vertices shared by several loops, and needs no consistent
+    orientation of the fan.
     """
-    out: dict[int, list[tuple[int, int]]] = {}
-    for (u, v), ts in adj.directed.items():
-        key = (u, v) if u < v else (v, u)
-        if len(adj.edge_tris[key]) == 1:
-            out.setdefault(u, []).append((u, v))
+    tris, he, count = tri.triangles, adj.half_edge, adj.edge_count
 
-    def successor(a, b):
-        # walk the fan around b, starting from triangle of (a, b)
-        key = (a, b) if a < b else (b, a)
-        t = adj.edge_tris[key][0]
-        prev = a
+    def ends(h):
+        t, k = divmod(h, 3)
+        tv = tris[t].tolist()
+        return tv[k], tv[(k + 1) % 3]
+
+    def successor(h):
+        # walk the fan around b, starting from the triangle of (a, b)
+        t = h // 3
+        prev, b = ends(h)
         while True:
-            c = _third_vertex(tri.triangles[t], prev, b)
-            key2 = (b, c) if b < c else (c, b)
-            nxt = adj.other_triangle(key2, t)
-            if nxt is None:
-                return (b, c)
-            t = nxt
+            tv = tris[t].tolist()
+            k = (tv.index(prev) + 1) % 3  # the half-edge of t opposite prev
+            c = tv[0] + tv[1] + tv[2] - prev - b
+            h = 3 * t + k
+            e = he[h]
+            if count[e] != 2:
+                return (b, c), h
+            t0, t1 = adj.edge_tri[e].tolist()
+            t = t0 if t1 == t else t1
             prev = c
 
-    unused = {e for lst in out.values() for e in lst}
+    bnd = np.nonzero(count[he] == 1)[0]
+    src = tris.ravel()[bnd]
+    dst = tris[:, [1, 2, 0]].ravel()[bnd]
+    starts = bnd[np.lexsort((dst, src))].tolist()
+    unused = set(starts)
     loops = []
+    i = 0
     while unused:
-        start = min(unused)
-        loop = [start[0]]
+        while starts[i] not in unused:
+            i += 1
+        start = starts[i]
+        first = ends(start)
+        loop = [first[0]]
         cur = start
         while True:
             unused.discard(cur)
-            nxt = successor(*cur)
-            if nxt == start:
+            nxt, h = successor(cur)
+            if nxt == first:
                 break
-            if nxt not in unused:
+            # (b, c) must be an unused boundary edge that its triangle
+            # traverses from b to c
+            if count[he[h]] != 1 or ends(h) != nxt or h not in unused:
                 raise MeshError("open boundary chain: boundary edges do not close")
             loop.append(nxt[0])
-            cur = nxt
+            cur = h
         loops.append(loop)
     return loops
 

@@ -221,9 +221,9 @@ def assemble_system(
     r, j, lam = unknown[Wc.row[keep]], Wc.col[keep], Wc.data[keep]
     twin = unknown[j] >= 0
     emit = np.column_stack([np.ones_like(twin), twin]).ravel()
-    rows = np.repeat(r, 2)[emit].tolist()
-    cols = np.column_stack([r, unknown[j]]).ravel()[emit].tolist()
-    vals = np.column_stack([lam, -lam]).ravel()[emit].tolist()
+    rows = [np.repeat(r, 2)[emit]]
+    cols = [np.column_stack([r, unknown[j]]).ravel()[emit]]
+    vals = [np.column_stack([lam, -lam]).ravel()[emit]]
     uv_fixed = np.zeros((n, 2))
     uv_fixed[list(boundary_uv)] = list(boundary_uv.values())
     rhs = np.zeros((m, 2))
@@ -232,48 +232,41 @@ def assemble_system(
     # pseudo-center rows: the center averages the hole vertices with the
     # weights of the virtual isosceles fan, and hole-vertex rows gain the
     # corresponding couplings (center column plus the second ring-edge side).
+    # Per hole edge (vj, vj1) there are six couplings (row, column, vertex,
+    # weight), in this order:
+    #   center-vj, center-vj1, vj-center, vj-vj1, vj1-center, vj1-vj,
+    # the last four only for rows of free vertices.  Each gives a diagonal
+    # triplet, then an off-diagonal one, or an rhs term for a Dirichlet
+    # column; emitting them in this order keeps the summed entries of A and
+    # rhs bit for bit those of a per-coupling loop.
     for k in fill:
-        loop = [int(v) for v in patch.loops[k]]
-        nn = len(loop)
+        loop = np.asarray(patch.loops[k], dtype=np.int64)
         alpha, beta, r_hole, base = _virtual_hole_triangles(patch, loop)
-        cid = weights.center_ids[k]
+        if scheme == "mvc":
+            w_center = np.tan(alpha / 2.0) / r_hole
+            w_ring = np.tan(beta / 2.0) / base
+            w_back = np.tan(beta / 2.0) / r_hole
+        else:
+            w_center = w_back = 0.5 / np.tan(beta)
+            w_ring = 0.5 / np.tan(alpha)
+        vj, vj1 = loop, np.roll(loop, -1)
+        uj, uj1 = unknown[vj], unknown[vj1]
+        cid = np.full(len(loop), weights.center_ids[k])
+        row = np.column_stack([cid, cid, uj, uj, uj1, uj1])
+        col = np.column_stack([uj, uj1, cid, uj1, cid, uj])
+        vert = np.column_stack([vj, vj1, vj, vj1, vj1, vj])
+        w = np.column_stack([w_center, w_center, w_back, w_ring, w_back, w_ring])
+        on = row >= 0
+        pair_on = np.stack([on, on & (col >= 0)], axis=-1)
+        rows.append(np.stack([row, row], axis=-1)[pair_on])
+        cols.append(np.stack([row, col], axis=-1)[pair_on])
+        vals.append(np.stack([w, -w], axis=-1)[pair_on])
+        to_rhs = on & (col < 0)
+        np.add.at(rhs, row[to_rhs], w[to_rhs, None] * uv_fixed[vert[to_rhs]])
 
-        def add(i_unk, j_vert, lam):
-            rows.append(i_unk)
-            cols.append(i_unk)
-            vals.append(lam)
-            if j_vert is None:
-                jcol = cid
-            else:
-                jcol = unknown[j_vert] if unknown[j_vert] >= 0 else None
-            if jcol is None:
-                rhs[i_unk] += lam * np.asarray(boundary_uv[j_vert])
-            else:
-                rows.append(i_unk)
-                cols.append(jcol)
-                vals.append(-lam)
-
-        for e in range(nn):
-            vj, vj1 = loop[e], loop[(e + 1) % nn]
-            if scheme == "mvc":
-                w_center = np.tan(alpha[e] / 2.0) / r_hole
-                w_ring = np.tan(beta[e] / 2.0) / base[e]
-                w_back = np.tan(beta[e] / 2.0) / r_hole
-            else:
-                w_center = 0.5 / np.tan(beta[e])
-                w_ring = 0.5 / np.tan(alpha[e])
-                w_back = 0.5 / np.tan(beta[e])
-            # center row, unknown cid
-            add(cid, vj, w_center)
-            add(cid, vj1, w_center)
-            # ring rows
-            if unknown[vj] >= 0:
-                add(unknown[vj], None, w_back)
-                add(unknown[vj], vj1, w_ring)
-            if unknown[vj1] >= 0:
-                add(unknown[vj1], None, w_back)
-                add(unknown[vj1], vj, w_ring)
-
+    rows = np.concatenate(rows)
+    cols = np.concatenate(cols)
+    vals = np.concatenate(vals)
     A = sp.coo_matrix((vals, (rows, cols)), shape=(m, m)).tocsc()
     A.sum_duplicates()
     return AssembledSystem(

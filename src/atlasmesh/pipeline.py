@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -77,15 +77,16 @@ def build_atlas(model: Triangulation, opt: PipelineOptions | None = None) -> Atl
 
     def prepare(face_id):
         p = brep.faces[face_id].patch
+        report = None
         if opt.refine_threshold is not None:
             thr = (
                 None if opt.refine_threshold == "auto" else float(opt.refine_threshold)
             )
-            p, _ = longest_edge_bisection(
+            p, report = longest_edge_bisection(
                 p, length_threshold=thr, max_rounds=opt.refine_rounds,
                 split_boundary=False,
             )
-        return p, parametrize(p, popt)
+        return p, parametrize(p, popt), report
 
     results = _run_parallel(prepare, range(len(brep.faces)), opt.threads)
     refined = [r[0] for r in results]
@@ -106,8 +107,9 @@ def build_atlas(model: Triangulation, opt: PipelineOptions | None = None) -> Atl
                 "triangles": p.n_triangles,
                 "injective": bool(pr.injective),
                 "residual": pr.residual,
+                "refine": None if rep is None else asdict(rep),
             }
-            for p, pr in zip(refined, params)
+            for p, pr, rep in results
         ],
         "atlas_seconds": time.perf_counter() - t0,
     }

@@ -23,13 +23,16 @@ class RefineReport:
     converged: bool
 
 
-def _edge_map(tris):
-    em: dict[tuple[int, int], list[int]] = {}
-    for t, (a, b, c) in enumerate(tris):
-        for u, v in ((a, b), (b, c), (c, a)):
-            key = (u, v) if u < v else (v, u)
-            em.setdefault(key, []).append(t)
-    return em
+def _lengths(vertices, a, b):
+    """Lengths of the edges from vertices `a` to vertices `b`.
+
+    Squares are taken with `**` (libm pow) on Python floats, not with
+    `x * x`: the two round about one square in a thousand differently,
+    and the lengths order the splits.
+    """
+    d = (vertices[a] - vertices[b]).ravel().tolist()
+    sq = np.array([x ** 2 for x in d]).reshape(-1, 3)
+    return np.sqrt((sq[:, 0] + sq[:, 1]) + sq[:, 2])
 
 
 def default_threshold(patch: Patch):
@@ -40,9 +43,12 @@ def default_threshold(patch: Patch):
             pts = patch.tri.vertices[np.asarray(loop)]
             lens.append(np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1))
         return float(np.concatenate(lens).mean())
-    em = _edge_map([tuple(int(v) for v in t) for t in patch.tri.triangles])
-    v = patch.tri.vertices
-    return float(np.mean([np.linalg.norm(v[a] - v[b]) for a, b in em]))
+    # edges in order of first occurrence in the triangle list, each length
+    # sqrt(d @ d) as np.linalg.norm takes it for one vector
+    _, first = np.unique(patch.adj.half_edge, return_index=True)
+    e = patch.adj.edges[np.argsort(first)]
+    d = patch.tri.vertices[e[:, 0]] - patch.tri.vertices[e[:, 1]]
+    return float(np.mean(np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])))
 
 
 def longest_edge_bisection(
@@ -58,7 +64,8 @@ def longest_edge_bisection(
     descending and splits them in that order; both triangles adjacent to
     a split edge are bisected so no hanging nodes appear.  Edges listed
     in `protected_edges` (local sorted vertex pairs, e.g. curves shared
-    with an already meshed neighbour) are never split.
+    with an already meshed neighbour) are never split.  The patch must be
+    edge-manifold.
 
     Returns (refined Patch, RefineReport).
     """
@@ -66,80 +73,100 @@ def longest_edge_bisection(
         length_threshold = default_threshold(patch)
     if length_threshold <= 0.0:
         raise MeshError("refinement threshold must be positive")
-    protected = set(protected_edges or ())
+    adj = patch.adj
+    if not adj.is_manifold():
+        raise MeshError("refinement needs an edge-manifold patch")
 
-    verts = [tuple(v) for v in patch.tri.vertices]
-    tris = [tuple(int(v) for v in t) for t in patch.tri.triangles]
-    em = _edge_map(tris)
-    gverts = list(int(g) for g in patch.global_vertices)
+    # An edge (u, v), u < v, is keyed u * N + v, so keys order as pairs
+    # do.  Edge ids index the arrays below; an edge keeps its length and
+    # its triangle count from creation on.  `em` maps live keys to their
+    # triangles, in the order the serial split loop adds them, which
+    # numbers the new triangles.
+    N = 1 << 32
+    verts = patch.tri.vertices
+    tris = [tuple(t) for t in patch.tri.triangles.tolist()]
+    ekeys = adj.edges[:, 0] * N + adj.edges[:, 1]
+    keys = ekeys.tolist()
+    em = {
+        k: [s] if t < 0 else [s, t]
+        for k, (s, t) in zip(keys, adj.edge_tri.tolist())
+    }
+    lengths = _lengths(verts, adj.edges[:, 0], adj.edges[:, 1])
+    interior = adj.edge_count == 2
+    live = np.ones(len(ekeys), dtype=bool)
+    protected = {u * N + v for u, v in protected_edges or ()}
 
-    def length(edge):
-        a, b = edge
-        pa, pb = verts[a], verts[b]
-        return float(np.sqrt((pa[0] - pb[0]) ** 2 + (pa[1] - pb[1]) ** 2
-                             + (pa[2] - pb[2]) ** 2))
+    def fixed(new_keys, new_interior):
+        out = np.array([k in protected for k in new_keys], dtype=bool)
+        return out | ~new_interior if not split_boundary else out
 
-    def splittable(edge):
-        if edge in protected:
-            return False
-        if not split_boundary and len(em[edge]) == 1:
-            return False
-        return True
+    frozen = fixed(keys, interior)
 
-    def split(edge):
-        a, b = edge
-        pa, pb = verts[a], verts[b]
-        mid = ((pa[0] + pb[0]) / 2.0, (pa[1] + pb[1]) / 2.0, (pa[2] + pb[2]) / 2.0)
-        m = len(verts)
-        verts.append(mid)
-        gverts.append(-1)
-        adj = list(em.pop(edge))
-        for t in adj:
+    def split(edge, m, fresh):
+        # triangle (x, y, z) over the split edge (x, y) becomes (x, m, z)
+        # and the new (m, y, z); the new edges are (x, m), (y, m), (z, m)
+        a, b = divmod(edge, N)
+        for t in em.pop(edge):
             ta, tb, tc = tris[t]
-            # orient so the split edge is (x, y)
-            for u, v, w in ((ta, tb, tc), (tb, tc, ta), (tc, ta, tb)):
-                if {u, v} == {a, b}:
-                    x, y, z = u, v, w
-                    break
-            for e2 in ((y, z), (z, x)):
-                key = (e2[0], e2[1]) if e2[0] < e2[1] else (e2[1], e2[0])
-                em[key].remove(t)
-            t1 = (x, m, z)
-            t2 = (m, y, z)
-            tris[t] = t1
+            z = ta + tb + tc - a - b
+            x, y = (tb, tc) if z == ta else (tc, ta) if z == tb else (ta, tb)
             tid2 = len(tris)
-            tris.append(t2)
-            for tid, tt in ((t, t1), (tid2, t2)):
-                for u, v in ((tt[0], tt[1]), (tt[1], tt[2]), (tt[2], tt[0])):
-                    key = (u, v) if u < v else (v, u)
-                    em.setdefault(key, []).append(tid)
-            # de-duplicate: edge (m, z) got added by both halves of this
-            # triangle exactly once each, which is correct; nothing to fix.
+            tris[t] = (x, m, z)
+            tris.append((m, y, z))
+            zx = em[z * N + x if z < x else x * N + z]
+            zx.remove(t)
+            zx.append(t)
+            yz = em[y * N + z if y < z else z * N + y]
+            yz.remove(t)
+            yz.append(tid2)
+            for k, tid in ((x * N + m, t), (y * N + m, tid2)):
+                ts = em.get(k)
+                if ts is None:
+                    em[k] = [tid]
+                    fresh.append(k)
+                else:
+                    ts.append(tid)
+            em[z * N + m] = [t, tid2]
+            fresh.append(z * N + m)
+
+    def long_edges():
+        return live & ~frozen & (lengths > length_threshold)
 
     n_splits = 0
     rounds = 0
     converged = False
     for rounds in range(1, max_rounds + 1):
-        tagged = [e for e in em if splittable(e) and length(e) > length_threshold]
-        if not tagged:
+        tagged = np.nonzero(long_edges())[0]
+        if not len(tagged):
             rounds -= 1
             converged = True
             break
-        tagged.sort(key=lambda e: (-length(e), e))
-        for e in tagged:
-            if e in em:
-                split(e)
-                n_splits += 1
+        tagged = tagged[np.lexsort((ekeys[tagged], -lengths[tagged]))]
+        # the end points of every tagged edge exist at the start of the round
+        a, b = np.divmod(ekeys[tagged], N)
+        mid = (verts[a] + verts[b]) / 2.0
+        n0, fresh = len(verts), []
+        for i, edge in enumerate(ekeys[tagged].tolist()):
+            split(edge, n0 + i, fresh)
+        n_splits += len(tagged)
+        verts = np.concatenate([verts, mid])
+        live[tagged] = False
+        new = np.asarray(fresh, dtype=np.int64)
+        new_interior = np.array([len(em[k]) == 2 for k in fresh], dtype=bool)
+        ekeys = np.concatenate([ekeys, new])
+        lengths = np.concatenate([lengths, _lengths(verts, *np.divmod(new, N))])
+        interior = np.concatenate([interior, new_interior])
+        live = np.concatenate([live, np.ones(len(new), dtype=bool)])
+        frozen = np.concatenate([frozen, fixed(fresh, new_interior)])
     else:
-        converged = not any(
-            splittable(e) and length(e) > length_threshold for e in em
-        )
+        converged = not long_edges().any()
 
-    interior = [e for e in em if len(em[e]) == 2]
-    max_int = max((length(e) for e in interior), default=0.0)
+    inner = live & interior
+    max_int = float(lengths[inner].max()) if inner.any() else 0.0
+    n_new = len(verts) - patch.tri.n_vertices
     refined = Patch.from_local(
-        np.asarray(verts), np.asarray(tris, dtype=np.int64),
-        np.asarray(gverts, dtype=np.int64),
+        verts, np.asarray(tris, dtype=np.int64),
+        np.concatenate([patch.global_vertices, np.full(n_new, -1, dtype=np.int64)]),
     )
     return refined, RefineReport(
         rounds=rounds, splits=n_splits, max_interior_edge=max_int,

@@ -16,8 +16,8 @@ def _edge_lengths(patch):
     adj = Adjacency(patch.tri)
     v = patch.tri.vertices
     return {
-        e: float(np.linalg.norm(v[e[0]] - v[e[1]]))
-        for e in adj.edge_tris
+        (a, b): float(np.linalg.norm(v[a] - v[b]))
+        for a, b in adj.edges.tolist()
     }
 
 
