@@ -224,11 +224,12 @@ def discretize_curve(points3d, h, closed=False):
     xyz = []
     for k, s in enumerate(targets):
         if not closed and k == len(targets) - 1:
-            seg, frac = nseg_in - 1, 1.0
-        else:
-            seg = int(np.searchsorted(cum, s, side="right")) - 1
-            seg = min(max(seg, 0), nseg_in - 1)
-            frac = (s - cum[seg]) / seg_len[seg] if seg_len[seg] > 0.0 else 0.0
+            samples.append((nseg_in - 1, 1.0))
+            xyz.append(pts[-1])  # exactly, not pts[-2] + 1.0 * (pts[-1] - pts[-2])
+            continue
+        seg = int(np.searchsorted(cum, s, side="right")) - 1
+        seg = min(max(seg, 0), nseg_in - 1)
+        frac = (s - cum[seg]) / seg_len[seg] if seg_len[seg] > 0.0 else 0.0
         samples.append((seg, float(frac)))
         xyz.append(pts[seg] + frac * seg_vec[seg])
     return samples, np.asarray(xyz)

@@ -36,6 +36,14 @@ def test_discretize_open_curve():
     assert np.allclose(gaps, 0.5)
 
 
+def test_discretize_open_curve_keeps_end_points_exactly():
+    # pts[-2] + 1.0 * (pts[-1] - pts[-2]) is off pts[-1] by an ulp in z here
+    pts = np.array([[-0.3, 0.2, 0.0], [0.1, 0.9, 0.4], [0.7, 0.35, -0.2]])
+    samples, xyz = discretize_curve(pts, h=0.3)
+    assert np.array_equal(xyz[0], pts[0])
+    assert np.array_equal(xyz[-1], pts[-1])
+
+
 def test_discretize_closed_curve_minimum():
     pts = np.array([[0, 0, 0], [1, 0, 0], [0.5, 1, 0]], dtype=float)
     samples, xyz = discretize_curve(pts, h=100.0, closed=True)
