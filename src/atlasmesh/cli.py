@@ -21,7 +21,7 @@ log = logging.getLogger("atlasmesh")
 
 def _add_common(p):
     p.add_argument("input", help="input mesh (stl, obj, msh)")
-    p.add_argument("--format", choices=["stl", "obj", "msh"], default=None,
+    p.add_argument("--format", choices=io.FORMATS, default=None,
                    help="override format sniffed from the extension")
     p.add_argument("--weld-tolerance", type=float, default=0.0)
 
@@ -100,12 +100,7 @@ def _options(args):
 
 
 def _load(args) -> Triangulation:
-    fmt = args.format
-    if fmt == "msh":
-        fmt = "msh-subset"
-    elif fmt == "stl":
-        fmt = "stl-binary" if io._stl_is_binary(args.input) else "stl-ascii"
-    return io.load_surface(args.input, format=fmt,
+    return io.load_surface(args.input, format=args.format,
                            weld_tolerance=args.weld_tolerance)
 
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mesh import Adjacency, MeshError, Triangulation
+from .mesh import Adjacency, MeshError, Triangulation, first_occurrence
 
 
 @dataclass
@@ -82,7 +82,5 @@ def segment_patches(
     graph = coo_matrix((np.ones(len(a)), (a, b)), shape=(n, n))
     _, label = connected_components(graph, directed=False)
     # renumber by smallest triangle id, as a flood fill from triangle 0 does
-    _, first = np.unique(label, return_index=True)
-    rank = np.empty(len(first), dtype=np.int64)
-    rank[np.argsort(first)] = np.arange(len(first))
-    return PatchSet(patch_of_triangle=rank[label], n_patches=len(first))
+    first, index = first_occurrence(label)
+    return PatchSet(patch_of_triangle=index, n_patches=len(first))

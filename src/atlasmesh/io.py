@@ -13,7 +13,7 @@ import struct
 
 import numpy as np
 
-from .mesh import MeshError, Triangulation
+from .mesh import MeshError, Triangulation, first_occurrence
 
 
 def _weld(raw_vertices, raw_triangles, tolerance=0.0):
@@ -26,17 +26,8 @@ def _weld(raw_vertices, raw_triangles, tolerance=0.0):
     """
     raw = np.asarray(raw_vertices, dtype=np.float64).reshape(-1, 3)
     keys = np.round(raw / tolerance).astype(np.int64) if tolerance > 0.0 else raw
-    # rows compare by value, so +0.0 and -0.0 merge
-    _, first, inverse = np.unique(
-        keys, axis=0, return_index=True, return_inverse=True
-    )
-    # renumber the unique rows in order of first occurrence
-    order = np.argsort(first)
-    rank = np.empty(len(first), dtype=np.int64)
-    rank[order] = np.arange(len(first))
-    index = rank[inverse.ravel()]
-    tris = index[np.asarray(raw_triangles, dtype=np.int64)]
-    return raw[first[order]], tris
+    first, index = first_occurrence(keys)
+    return raw[first], index[np.asarray(raw_triangles, dtype=np.int64)]
 
 
 def _check_finite(arr):
@@ -160,22 +151,26 @@ def _load_msh(path):
     return verts, np.asarray(tris, dtype=np.int64), np.asarray(tags, dtype=np.int64)
 
 
-def _guess_format(path):
-    low = str(path).lower()
-    if low.endswith(".stl"):
-        return "stl-binary" if _stl_is_binary(path) else "stl-ascii"
-    if low.endswith(".obj"):
-        return "obj"
-    if low.endswith(".msh"):
-        return "msh-subset"
-    raise MeshError(f"cannot infer format from path: {path}")
+FORMATS = ("stl", "obj", "msh")
+
+
+def _format(path, format):
+    """`format`, or else the file suffix; one of FORMATS."""
+    fmt = format or str(path).lower().rpartition(".")[2]
+    if fmt not in FORMATS:
+        raise MeshError(f"unknown format {fmt!r} for {path}")
+    return fmt
 
 
 def load_surface(path, format=None, weld_tolerance=0.0) -> Triangulation:
-    """Load a triangulated surface, welding duplicate vertices exactly."""
-    fmt = format or _guess_format(path)
-    if fmt in ("stl-ascii", "stl-binary"):
-        raw = _load_stl_ascii(path) if fmt == "stl-ascii" else _load_stl_binary(path)
+    """Load a triangulated surface, welding duplicate vertices exactly.
+
+    `format` is stl, obj or msh (the msh subset), by default the file
+    suffix; STL is read as binary or ASCII as the file says.
+    """
+    fmt = _format(path, format)
+    if fmt == "stl":
+        raw = _load_stl_binary(path) if _stl_is_binary(path) else _load_stl_ascii(path)
         _check_finite(raw)
         n = len(raw) // 3
         tris = np.arange(3 * n, dtype=np.int64).reshape(n, 3)
@@ -187,11 +182,9 @@ def load_surface(path, format=None, weld_tolerance=0.0) -> Triangulation:
         if weld_tolerance > 0.0:
             verts, tris = _weld(verts, tris, weld_tolerance)
         return Triangulation(verts, tris)
-    if fmt == "msh-subset":
-        verts, tris, tags = _load_msh(path)
-        _check_finite(verts)
-        return Triangulation(verts, tris, patch_tags=tags)
-    raise MeshError(f"unknown format: {fmt}")
+    verts, tris, tags = _load_msh(path)
+    _check_finite(verts)
+    return Triangulation(verts, tris, patch_tags=tags)
 
 
 def _write_stl_binary(tri: Triangulation, path):
@@ -255,27 +248,15 @@ def _write_msh(tri: Triangulation, path, brep=None):
 
 
 def write_mesh(tri: Triangulation, path, format=None, brep=None):
-    """Write a triangulation; msh-subset and obj round-trip bit exactly."""
-    fmt = format or _guess_format_write(path)
+    """Write a triangulation as stl (binary), obj or msh, by default as the
+    file suffix says; msh and obj round-trip bit exactly."""
+    fmt = _format(path, format)
     try:
-        if fmt == "stl-binary":
+        if fmt == "stl":
             _write_stl_binary(tri, path)
         elif fmt == "obj":
             _write_obj(tri, path)
-        elif fmt == "msh-subset":
-            _write_msh(tri, path, brep=brep)
         else:
-            raise MeshError(f"unknown format: {fmt}")
+            _write_msh(tri, path, brep=brep)
     except OSError as exc:
         raise MeshError(f"cannot write {path}: {exc}") from exc
-
-
-def _guess_format_write(path):
-    low = str(path).lower()
-    if low.endswith(".stl"):
-        return "stl-binary"
-    if low.endswith(".obj"):
-        return "obj"
-    if low.endswith(".msh"):
-        return "msh-subset"
-    raise MeshError(f"cannot infer format from path: {path}")

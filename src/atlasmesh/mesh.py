@@ -83,6 +83,30 @@ class Triangulation:
         return float(self.triangle_areas().sum())
 
 
+def first_occurrence(keys):
+    """Number equal keys by their first occurrence.
+
+    `keys` is (n,) or (n, k); rows compare by value, so +0.0 and -0.0 are
+    equal.  Returns (first, index): the position of each distinct key's
+    first occurrence, ascending, and per key the rank of its first
+    occurrence among them, so keys[first][index] equals keys.
+    """
+    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[order] = np.arange(len(first))
+    return first[order], rank[inverse.ravel()]
+
+
+def signed_uv_areas(triangles, uv):
+    """(m,) signed areas of 2D triangles, positive when counter-clockwise."""
+    t = np.asarray(triangles, dtype=np.int64)
+    p = np.asarray(uv, dtype=np.float64)[t]
+    d1 = p[:, 1] - p[:, 0]
+    d2 = p[:, 2] - p[:, 0]
+    return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+
+
 class Adjacency:
     """Edge connectivity of a triangulation, as arrays over sorted edges.
 

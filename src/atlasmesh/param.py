@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .mesh import MeshError
+from .mesh import MeshError, signed_uv_areas
 from .patch import Patch
 
 if TYPE_CHECKING:
@@ -278,14 +278,6 @@ def assemble_system(
         outer_loop=outer_loop,
         n_centers=n_centers,
     )
-
-
-def signed_uv_areas(triangles, uv):
-    t = np.asarray(triangles, dtype=np.int64)
-    p = np.asarray(uv, dtype=np.float64)[t]
-    d1 = p[:, 1] - p[:, 0]
-    d2 = p[:, 2] - p[:, 0]
-    return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
 
 
 def solve(patch: Patch, system: AssembledSystem) -> Parametrization:

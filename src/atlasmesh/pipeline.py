@@ -15,7 +15,7 @@ from .param import ParamOptions, parametrize
 from .patch import Patch
 from .quality import patch_quality
 from .refine import longest_edge_bisection
-from .remesh import SizeField, discretize_curve, map_to_3d, mesh_patch_uv, stitch
+from .remesh import discretize_curve, map_to_3d, mesh_patch_uv, stitch
 
 
 @dataclass
@@ -125,66 +125,74 @@ def _run_parallel(fn, items, threads):
         return list(ex.map(fn, items))
 
 
-def _sample_key(curve_id, curve, k, nsamples, closed):
-    if closed:
-        return ("c", curve_id, k)
-    if k == 0:
-        return ("p", curve.vertices[0])
-    if k == nsamples - 1:
-        return ("p", curve.vertices[-1])
-    return ("c", curve_id, k)
+def boundary_samples(atlas: AtlasResult, h):
+    """The run's boundary-sample table, shared by every face.
+
+    Returns ((S, 3) sample positions, per curve (ids, seg, frac)).
+    Samples 0..P-1 are the BREP corners at their model coordinates; the
+    other samples of each curve follow in curve order.  A curve's ids,
+    segment indices and fractions run along its discretization, so the
+    end samples of an open curve are the ids of its corners.
+    """
+    brep, model = atlas.brep, atlas.model
+    corners = np.asarray(brep.points, dtype=np.int64)
+    xyz = [model.vertices[corners]]
+    n = len(corners)
+    curves = []
+    for cid, curve in enumerate(brep.curves):
+        seg, frac, pos = discretize_curve(
+            brep.curve_points(model, cid), h, closed=curve.closed
+        )
+        own = slice(None) if curve.closed else slice(1, -1)
+        ids = np.empty(len(seg), dtype=np.int64)
+        ids[own] = n + np.arange(len(ids[own]))
+        if not curve.closed:
+            ids[[0, -1]] = np.searchsorted(corners, [curve.vertices[0], curve.vertices[-1]])
+        xyz.append(pos[own])
+        n += len(xyz[-1])
+        curves.append((ids, seg, frac))
+    return np.concatenate(xyz), curves
 
 
-def face_sample_loops(atlas: AtlasResult, face_id, discretized):
-    """Boundary sample loops of a face: (key, uv, xyz) in walk order."""
-    face = atlas.brep.faces[face_id]
-    patch = atlas.patches[face_id]
-    param = atlas.params[face_id]
-    lidx = patch.local_index()
+def face_sample_loops(atlas: AtlasResult, face_id, curves):
+    """Boundary loops of a face in walk order, each as (ids, uv) arrays.
+
+    `curves` is the per-curve part of `boundary_samples`.  A sample's UV
+    point interpolates the ends of its segment in the face's map.
+    """
+    uv = atlas.params[face_id].uv
+    lidx = atlas.patches[face_id].local_index()
     loops = []
-    for cyc in face.loops:
-        entries = []
+    for cyc in atlas.brep.faces[face_id].loops:
+        ids, points = [], []
         for cid, forward in cyc:
             curve = atlas.brep.curves[cid]
-            samples, xyz = discretized[cid]
-            n = len(samples)
-            order = range(n) if forward else range(n - 1, -1, -1)
-            seq = []
-            for k in order:
-                seg, frac = samples[k]
-                ga = curve.vertices[seg]
-                gb = curve.vertices[(seg + 1) % len(curve.vertices)]
-                uv = (1.0 - frac) * param.uv[lidx[ga]] + frac * param.uv[lidx[gb]]
-                key = _sample_key(cid, curve, k, n, curve.closed)
-                seq.append((key, uv, xyz[k]))
+            curve_ids, seg, frac = curves[cid]
+            local = np.asarray([lidx[g] for g in curve.vertices])
+            a, b = uv[local[seg]], uv[local[(seg + 1) % len(local)]]
+            order = np.arange(len(seg))[:: 1 if forward else -1]
             if not curve.closed:
-                seq = seq[:-1]  # endpoint repeats as the next curve's start
-            entries.extend(seq)
-        loops.append(entries)
+                order = order[:-1]  # the end repeats as the next curve's start
+            ids.append(curve_ids[order])
+            points.append(((1.0 - frac)[:, None] * a + frac[:, None] * b)[order])
+        loops.append((np.concatenate(ids), np.concatenate(points)))
     return loops
 
 
 def remesh_model(model: Triangulation, opt: PipelineOptions | None = None):
     """Full pipeline; returns (output mesh, summary, atlas result)."""
     opt = opt or PipelineOptions()
-    if opt.size is None:
-        raise MeshError("remesh requires a target size")
+    if opt.size is None or not 0.0 < opt.size < np.inf:
+        raise MeshError(f"target size must be finite and positive, got {opt.size}")
     t0 = time.perf_counter()
     atlas = build_atlas(model, opt)
-    size = SizeField(opt.size)
-
-    discretized = {}
-    for cid, curve in enumerate(atlas.brep.curves):
-        pts = atlas.brep.curve_points(model, cid)
-        discretized[cid] = discretize_curve(pts, size.h, closed=curve.closed)
+    sample_xyz, curves = boundary_samples(atlas, opt.size)
 
     def mesh_face(face_id):
-        loops = face_sample_loops(atlas, face_id, discretized)
-        res = mesh_patch_uv(
-            atlas.patches[face_id], atlas.params[face_id], loops, size
-        )
-        xyz = map_to_3d(res, atlas.patches[face_id])
-        return res, xyz
+        patch = atlas.patches[face_id]
+        loops = face_sample_loops(atlas, face_id, curves)
+        res = mesh_patch_uv(patch, atlas.params[face_id], loops, opt.size)
+        return res, map_to_3d(res, patch, sample_xyz)
 
     meshed = _run_parallel(mesh_face, range(len(atlas.brep.faces)), opt.threads)
     out = stitch([m[0] for m in meshed], [m[1] for m in meshed])

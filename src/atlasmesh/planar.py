@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .mesh import MeshError
+from .mesh import MeshError, signed_uv_areas
 
 
 def _orient(a, b, c):
@@ -247,10 +247,8 @@ def constrained_triangulation(points, constraint_edges, tol=1e-12):
     if len(dt.coplanar):
         raise MeshError("degenerate boundary points dropped by Delaunay")
     tris = dt.simplices.astype(np.int64)
-    p = pts[tris]
-    a2 = (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1]) - \
-         (p[:, 1, 1] - p[:, 0, 1]) * (p[:, 2, 0] - p[:, 0, 0])
-    tris[a2 < 0.0] = tris[a2 < 0.0][:, [0, 2, 1]]
+    cw = signed_uv_areas(tris, pts) < 0.0
+    tris[cw] = tris[cw][:, [0, 2, 1]]
     mesh = PlanarMesh(pts, tris)
     scale = float(np.abs(pts).max()) or 1.0
     eps = tol * scale

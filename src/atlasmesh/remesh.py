@@ -14,24 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import MeshError, Triangulation
+from .mesh import MeshError, Triangulation, first_occurrence, signed_uv_areas
 from .planar import PlanarMesh, clip_to_loops, constrained_triangulation
 from .quality import metric_tensor, triangle_jacobian
 
 METRIC_LONG = 1.4
 METRIC_SHORT = 0.7
 GAUSS = (0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0))
-
-
-@dataclass
-class SizeField:
-    """Uniform target 3D edge length."""
-
-    h: float
-
-    def __post_init__(self):
-        if self.h <= 0.0:
-            raise MeshError("mesh size must be positive")
 
 
 class UVLocator:
@@ -204,43 +193,37 @@ class FaceMetric:
 def discretize_curve(points3d, h, closed=False):
     """Subdivide a polyline at 3D spacing ~h.
 
-    Returns (samples, xyz): samples are (segment index, fraction) pairs;
-    every sample lies on an original segment and endpoints are preserved.
-    Closed curves keep at least 3 samples.
+    Returns (seg, frac, xyz): per sample its segment index, the fraction
+    along that segment and its 3D position.  Every sample lies on an
+    original segment and the end points of an open curve are kept
+    exactly.  Closed curves keep at least 3 samples.
     """
     pts = np.asarray(points3d, dtype=np.float64)
-    nseg_in = len(pts) if closed else len(pts) - 1
-    if nseg_in < 1:
+    nseg = len(pts) if closed else len(pts) - 1
+    if nseg < 1:
         raise MeshError("empty curve")
-    seg_vec = [pts[(i + 1) % len(pts)] - pts[i] for i in range(nseg_in)]
-    seg_len = np.asarray([float(np.linalg.norm(v)) for v in seg_vec])
+    vec = np.roll(pts, -1, axis=0)[:nseg] - pts[:nseg]
+    seg_len = np.asarray([float(np.linalg.norm(v)) for v in vec])
     total = float(seg_len.sum())
     n = max(1, int(round(total / h)))
     if closed:
         n = max(3, n)
     cum = np.concatenate([[0.0], np.cumsum(seg_len)])
-    targets = [total * k / n for k in range(n if closed else n + 1)]
-    samples = []
-    xyz = []
-    for k, s in enumerate(targets):
-        if not closed and k == len(targets) - 1:
-            samples.append((nseg_in - 1, 1.0))
-            xyz.append(pts[-1])  # exactly, not pts[-2] + 1.0 * (pts[-1] - pts[-2])
-            continue
-        seg = int(np.searchsorted(cum, s, side="right")) - 1
-        seg = min(max(seg, 0), nseg_in - 1)
-        frac = (s - cum[seg]) / seg_len[seg] if seg_len[seg] > 0.0 else 0.0
-        samples.append((seg, float(frac)))
-        xyz.append(pts[seg] + frac * seg_vec[seg])
-    return samples, np.asarray(xyz)
+    s = total * np.arange(n if closed else n + 1) / n
+    seg = np.clip(np.searchsorted(cum, s, side="right") - 1, 0, nseg - 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        frac = np.where(seg_len[seg] > 0.0, (s - cum[seg]) / seg_len[seg], 0.0)
+    xyz = pts[seg] + frac[:, None] * vec[seg]
+    if not closed:  # pts[-1] itself: the formula above can miss it by an ulp
+        seg[-1], frac[-1], xyz[-1] = nseg - 1, 1.0, pts[-1]
+    return seg, frac, xyz
 
 
 @dataclass
 class FaceMeshResult:
     uv_points: np.ndarray
     triangles: np.ndarray
-    boundary_key: dict  # local vertex -> hashable global key
-    xyz_boundary: dict  # local vertex -> exact 3D position
+    sample_ids: np.ndarray  # (n,) boundary-sample id of each vertex, -1 inside
     locator: UVLocator  # the face's parametric triangles, for map_to_3d
     passes: int = 0  # adaptation passes run
     converged: bool = False  # the last pass changed nothing
@@ -250,37 +233,31 @@ def mesh_patch_uv(
     patch,
     param,
     loops,
-    size: SizeField,
+    h,
     passes=10,
 ) -> FaceMeshResult:
     """Triangulate the UV domain bounded by the given sample loops.
 
     `loops` is a list of boundary loops in walk order (domain on the
-    left); each entry is (key, uv, xyz).  The boundary is kept exactly;
-    the interior is filled and adapted so metric edge lengths approach 1.
+    left), each a pair of (k,) boundary-sample ids and (k, 2) UV points.
+    The boundary is kept exactly; the interior is filled and adapted so
+    metric edge lengths at target size h approach 1.
     """
     if not param.injective:
         raise MeshError("cannot remesh a non-injective parametrization")
-    metric = FaceMetric(patch, param, size.h)
+    metric = FaceMetric(patch, param, h)
 
-    points = []
-    keys = []
-    xyzs = []
+    ids = np.concatenate([loop_ids for loop_ids, _ in loops])
+    points = np.concatenate([uv for _, uv in loops])
     constraints = []
-    loop_polys = []
-    for loop in loops:
-        start = len(points)
-        for key, uv, xyz in loop:
-            points.append(np.asarray(uv, dtype=np.float64))
-            keys.append(key)
-            xyzs.append(np.asarray(xyz, dtype=np.float64))
-        nn = len(loop)
-        for k in range(nn):
-            constraints.append((start + k, start + (k + 1) % nn))
-        loop_polys.append([points[start + k] for k in range(nn)])
+    start = 0
+    for loop_ids, _ in loops:
+        nn = len(loop_ids)
+        constraints += [(start + k, start + (k + 1) % nn) for k in range(nn)]
+        start += nn
 
     mesh = constrained_triangulation(points, constraints)
-    clip_to_loops(mesh, loop_polys)
+    clip_to_loops(mesh, [uv for _, uv in loops])
 
     n_fixed = len(points)
 
@@ -357,76 +334,52 @@ def mesh_patch_uv(
         converged = not changed
 
     pts, tris, used = mesh.compact()
-    areas = (
-        (pts[tris[:, 1], 0] - pts[tris[:, 0], 0])
-        * (pts[tris[:, 2], 1] - pts[tris[:, 0], 1])
-        - (pts[tris[:, 1], 1] - pts[tris[:, 0], 1])
-        * (pts[tris[:, 2], 0] - pts[tris[:, 0], 0])
-    )
-    if (areas <= 0.0).any():
+    if (signed_uv_areas(tris, pts) <= 0.0).any():
         raise MeshError("remesher produced an inverted UV triangle")
-    boundary_key = {}
-    xyz_boundary = {}
-    for new, old in enumerate(used):
-        if old < n_fixed:
-            boundary_key[new] = keys[old]
-            xyz_boundary[new] = xyzs[old]
+    # vertices added by adaptation are not boundary samples
+    vertex_ids = np.concatenate([ids, np.full(len(mesh.points) - n_fixed, -1)])
     return FaceMeshResult(
         uv_points=pts,
         triangles=tris,
-        boundary_key=boundary_key,
-        xyz_boundary=xyz_boundary,
+        sample_ids=vertex_ids[used],
         locator=metric.locator,
         passes=done,
         converged=converged,
     )
 
 
-def map_to_3d(result: FaceMeshResult, patch) -> np.ndarray:
+def map_to_3d(result: FaceMeshResult, patch, sample_xyz) -> np.ndarray:
     """3D positions of the face mesh vertices, exactly on the input surface.
 
-    Boundary samples keep their precomputed positions (on original curve
-    segments); interior vertices are barycentric images on the containing
-    parametric triangle, found by the locator the face's metric built.
+    Boundary samples take their rows of the run's sample table
+    `sample_xyz` (points on original curve segments); interior vertices
+    are barycentric images on the containing parametric triangle, found
+    by the locator the face's metric built.
     """
     out = np.empty((len(result.uv_points), 3))
-    for v, xyz in result.xyz_boundary.items():
-        out[v] = xyz
-    inner = np.setdiff1d(np.arange(len(out)), list(result.xyz_boundary))
+    boundary = result.sample_ids >= 0
+    out[boundary] = sample_xyz[result.sample_ids[boundary]]
+    inner = np.flatnonzero(~boundary)
     t, bary = result.locator.locate_many(result.uv_points[inner], clamp=True)
     corners = patch.tri.vertices[patch.tri.triangles[t]]
     out[inner] = (bary[:, None, :] @ corners)[:, 0]
     return out
 
 
-def stitch(face_results, face_xyz, patch_tags=None) -> Triangulation:
+def stitch(face_results, face_xyz) -> Triangulation:
     """Merge per-face meshes into one conforming triangulation.
 
-    Vertices carrying the same boundary key (shared curve samples and
-    corner points) are emitted once; everything else stays per face.
+    Vertices of the same boundary sample (shared curve samples and corner
+    points) are emitted once, where they first occur; every interior
+    vertex stays its face's own.  Triangles are tagged with their face.
     """
-    key_gid: dict = {}
-    verts: list = []
-    tris = []
-    tags = []
-    for fid, (res, xyz) in enumerate(zip(face_results, face_xyz)):
-        local_gid = {}
-        for v in range(len(res.uv_points)):
-            key = res.boundary_key.get(v)
-            if key is not None:
-                gid = key_gid.get(key)
-                if gid is None:
-                    gid = len(verts)
-                    key_gid[key] = gid
-                    verts.append(xyz[v])
-            else:
-                gid = len(verts)
-                verts.append(xyz[v])
-            local_gid[v] = gid
-        for t in res.triangles:
-            tris.append([local_gid[int(v)] for v in t])
-            tags.append(fid if patch_tags is None else patch_tags[fid])
-    return Triangulation(
-        np.asarray(verts), np.asarray(tris, dtype=np.int64),
-        patch_tags=np.asarray(tags, dtype=np.int64),
+    keys = np.concatenate([res.sample_ids for res in face_results])
+    inner = keys < 0
+    keys[inner] = keys.max() + 1 + np.arange(inner.sum())  # past every sample id
+    first, index = first_occurrence(keys)
+    offsets = np.cumsum([0] + [len(res.sample_ids) for res in face_results])
+    tris = np.concatenate(
+        [res.triangles + off for res, off in zip(face_results, offsets)]
     )
+    tags = np.repeat(np.arange(len(face_results)), [len(r.triangles) for r in face_results])
+    return Triangulation(np.concatenate(face_xyz)[first], index[tris], patch_tags=tags)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import Adjacency, MeshError, Triangulation
+from .mesh import Adjacency, MeshError, Triangulation, signed_uv_areas
 from .param import scheme_weight_matrix
 
 TWO_PI = 2.0 * np.pi
@@ -70,10 +70,7 @@ def build_square_mesh(kind, n, seed=1) -> Triangulation:
         pts[interior] += jitter
         dt = Delaunay(pts)
         tris = dt.simplices.astype(np.int64)
-        p = pts[tris]
-        area2 = (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1]) - \
-                (p[:, 1, 1] - p[:, 0, 1]) * (p[:, 2, 0] - p[:, 0, 0])
-        flip = area2 < 0.0
+        flip = signed_uv_areas(tris, pts) < 0.0
         tris[flip] = tris[flip][:, [0, 2, 1]]
         verts = np.column_stack([pts, np.zeros(len(pts))])
         return Triangulation(verts, tris)

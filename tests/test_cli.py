@@ -9,6 +9,7 @@ from fixtures import cube, cylinder_shell, package_env
 
 from atlasmesh.cli import main
 from atlasmesh.io import load_surface, write_mesh
+from atlasmesh.mesh import MeshError
 
 
 @pytest.fixture
@@ -80,6 +81,38 @@ def test_remesh_end_to_end(cube_file, tmp_path):
 def test_remesh_requires_size(cube_file, tmp_path, capsys):
     with pytest.raises(SystemExit):
         main(["remesh", str(cube_file), "-o", str(tmp_path / "o.msh")])
+
+
+@pytest.mark.parametrize("size", ["0", "-1", "nan", "inf"])
+def test_remesh_rejects_bad_size(cube_file, tmp_path, capsys, size):
+    out = tmp_path / "o.msh"
+    rc = main(["remesh", str(cube_file), "--size", size, "-o", str(out)])
+    assert rc == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "MeshError"
+    assert "finite and positive" in err["message"]
+    assert not out.exists()
+
+
+def test_load_and_write_take_the_cli_format_names(tmp_path):
+    mesh = cube()
+    for fmt in ("stl", "obj", "msh"):
+        p = tmp_path / f"cube_{fmt}.dat"  # the suffix names no format
+        write_mesh(mesh, p, format=fmt)
+        back = load_surface(p, format=fmt)
+        assert back.n_triangles == 12 and back.n_vertices == 8
+    # an ASCII STL under --format stl is sniffed as such
+    ascii_stl = tmp_path / "cube_ascii.stl"
+    with open(ascii_stl, "w") as fh:
+        fh.write("solid c\n")
+        for t in mesh.triangles:
+            fh.write("facet normal 0 0 0\nouter loop\n")
+            fh.writelines("vertex %.17g %.17g %.17g\n" % tuple(mesh.vertices[v]) for v in t)
+            fh.write("endloop\nendfacet\n")
+        fh.write("endsolid c\n")
+    assert main(["info", str(ascii_stl), "--format", "stl"]) == 0
+    with pytest.raises(MeshError):
+        load_surface(ascii_stl, format="stl-ascii")
 
 
 def test_quality_reports_per_face(cube_file, capsys):

@@ -3,33 +3,42 @@ import pytest
 
 from fixtures import concave_hole_plate, cube, cylinder_shell, random_disk_fixture, torus
 
-from atlasmesh import remesh
+from atlasmesh import pipeline, remesh
 from atlasmesh.mesh import MeshError, validate
 from atlasmesh.param import ParamOptions, parametrize
 from atlasmesh.patch import Patch
-from atlasmesh.pipeline import PipelineOptions, build_atlas, face_sample_loops, remesh_model
+from atlasmesh.pipeline import (
+    PipelineOptions,
+    boundary_samples,
+    build_atlas,
+    face_sample_loops,
+    remesh_model,
+)
 from atlasmesh.remesh import (
     GAUSS,
     FaceMeshResult,
     FaceMetric,
-    SizeField,
     UVLocator,
     discretize_curve,
     stitch,
 )
 
 
-def test_size_field_validation():
-    assert SizeField(0.5).h == 0.5
-    with pytest.raises(MeshError):
-        SizeField(0.0)
+def test_size_field_validation(monkeypatch):
+    def no_atlas(*args):
+        raise AssertionError("the atlas was built before the size was checked")
+
+    monkeypatch.setattr(pipeline, "build_atlas", no_atlas)
+    for size in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(MeshError, match="finite and positive"):
+            remesh_model(cube(), PipelineOptions(size=size))
 
 
 def test_discretize_open_curve():
     pts = np.array([[0, 0, 0], [1, 0, 0], [2, 0, 0]], dtype=float)
-    samples, xyz = discretize_curve(pts, h=0.5)
-    assert samples[0] == (0, 0.0)
-    assert samples[-1] == (2 - 1, 1.0)
+    seg, frac, xyz = discretize_curve(pts, h=0.5)
+    assert (seg[0], frac[0]) == (0, 0.0)
+    assert (seg[-1], frac[-1]) == (2 - 1, 1.0)
     assert np.allclose(xyz[0], pts[0])
     assert np.allclose(xyz[-1], pts[-1])
     gaps = np.linalg.norm(np.diff(xyz, axis=0), axis=1)
@@ -39,21 +48,21 @@ def test_discretize_open_curve():
 def test_discretize_open_curve_keeps_end_points_exactly():
     # pts[-2] + 1.0 * (pts[-1] - pts[-2]) is off pts[-1] by an ulp in z here
     pts = np.array([[-0.3, 0.2, 0.0], [0.1, 0.9, 0.4], [0.7, 0.35, -0.2]])
-    samples, xyz = discretize_curve(pts, h=0.3)
+    _, _, xyz = discretize_curve(pts, h=0.3)
     assert np.array_equal(xyz[0], pts[0])
     assert np.array_equal(xyz[-1], pts[-1])
 
 
 def test_discretize_closed_curve_minimum():
     pts = np.array([[0, 0, 0], [1, 0, 0], [0.5, 1, 0]], dtype=float)
-    samples, xyz = discretize_curve(pts, h=100.0, closed=True)
-    assert len(samples) == 3  # never fewer than a triangle
+    seg, frac, xyz = discretize_curve(pts, h=100.0, closed=True)
+    assert len(seg) == len(frac) == len(xyz) == 3  # never fewer than a triangle
 
 
 def test_discretize_spacing_tracks_target():
     ang = np.linspace(0, 2 * np.pi, 41)[:-1]
     pts = np.column_stack([np.cos(ang), np.sin(ang), np.zeros(40)])
-    samples, xyz = discretize_curve(pts, h=0.3, closed=True)
+    _, _, xyz = discretize_curve(pts, h=0.3, closed=True)
     gaps = np.linalg.norm(np.roll(xyz, -1, axis=0) - xyz, axis=1)
     assert gaps.max() < 0.45
     assert gaps.min() > 0.15
@@ -226,12 +235,12 @@ def test_stitch_dedupes_shared_keys():
     xyz_a = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], dtype=float)
     xyz_b = np.array([[1, 0, 0], [0, 0, 0], [0, 1, 5]], dtype=float)
     loc = UVLocator(uv, tris)
-    a = FaceMeshResult(uv, tris, {0: ("c", 0, 0), 1: ("c", 0, 1)},
-                       {0: xyz_a[0], 1: xyz_a[1]}, loc)
-    b = FaceMeshResult(uv, tris, {0: ("c", 0, 1), 1: ("c", 0, 0)},
-                       {0: xyz_b[0], 1: xyz_b[1]}, loc)
+    a = FaceMeshResult(uv, tris, np.array([0, 1, -1]), loc)
+    b = FaceMeshResult(uv, tris, np.array([1, 0, -1]), loc)
     out = stitch([a, b], [xyz_a, xyz_b])
     assert out.n_vertices == 4  # two shared + two private
+    assert np.array_equal(out.vertices, [xyz_a[0], xyz_a[1], xyz_a[2], xyz_b[2]])
+    assert out.triangles.tolist() == [[0, 1, 2], [1, 0, 3]]
     assert out.n_triangles == 2
     assert out.patch_tags.tolist() == [0, 1]
 
@@ -240,14 +249,13 @@ def test_face_sample_loops_are_closed_and_on_disk():
     mesh = cylinder_shell()
     opt = PipelineOptions(size=0.3)
     atlas = build_atlas(mesh, opt)
-    discretized = {}
-    for cid, curve in enumerate(atlas.brep.curves):
-        pts = atlas.brep.curve_points(mesh, cid)
-        discretized[cid] = discretize_curve(pts, 0.3, closed=curve.closed)
-    loops = face_sample_loops(atlas, 0, discretized)
+    sample_xyz, curves = boundary_samples(atlas, 0.3)
+    loops = face_sample_loops(atlas, 0, curves)
     assert len(loops) == 2
-    keys = [k for loop in loops for k, _, _ in loop]
-    assert len(keys) == len(set(keys))  # no duplicate samples in a face
+    ids = np.concatenate([loop_ids for loop_ids, _ in loops])
+    assert len(ids) == len(np.unique(ids))  # no duplicate samples in a face
+    assert all(len(loop_ids) == len(uv) for loop_ids, uv in loops)
+    assert 0 <= ids.min() and ids.max() < len(sample_xyz)
 
 
 def test_remesh_requires_size():

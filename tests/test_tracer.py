@@ -1,0 +1,52 @@
+"""The benchmark tracer's contract with the pipeline.
+
+`bench/spans.py` times the pipeline by replacing names in the modules
+where the pipeline looks them up.  A refactor that calls one of those
+functions by another route leaves its layer reading 0; this test notices.
+"""
+
+import sys
+from pathlib import Path
+
+from fixtures import cube
+
+from atlasmesh import cli, pipeline, planar, remesh
+from atlasmesh.io import write_mesh
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import spans  # noqa: E402
+
+TRACED = [
+    "remesh.discretize_curve",
+    "remesh.mesh_patch_uv",
+    "remesh.map_to_3d",
+    "remesh.stitch",
+    "remesh.locate",
+    "pipeline.map.mesh_face",
+]
+
+
+def test_tracer_sees_every_remesh_layer(tmp_path):
+    src = tmp_path / "cube.obj"
+    write_mesh(cube(), src)
+    names = ["discretize_curve", "mesh_patch_uv", "map_to_3d", "stitch", "_run_parallel"]
+    before = {name: getattr(pipeline, name) for name in names}
+    locate = remesh.UVLocator.locate
+    split = planar.PlanarMesh.split_edge
+
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert all(getattr(pipeline, name) is not before[name] for name in names)
+        rc = cli.main(["remesh", str(src), "--size", "0.25", "-o", str(tmp_path / "o.msh")])
+    finally:
+        tracer.uninstall()
+
+    assert rc == 0
+    recorded = {tracer.names[nid] for nid, *_ in tracer.records}
+    missing = [name for name in TRACED if name not in recorded]
+    assert not missing, f"no span recorded for {missing}"
+    assert tracer.counters["pipeline.faces"] == 6
+    assert all(getattr(pipeline, name) is before[name] for name in names)
+    assert remesh.UVLocator.locate is locate
+    assert planar.PlanarMesh.split_edge is split
