@@ -20,12 +20,23 @@ def _weld(raw_vertices, raw_triangles, tolerance=0.0):
     """Merge duplicate vertices.
 
     With tolerance 0 only equal coordinates merge (STL repeats every
-    facet corner; +0.0 and -0.0 are equal).  A positive tolerance snaps
-    to a grid of that spacing, for dirty scans.  Vertices keep the
+    facet corner; +0.0 and -0.0 are equal).  With a positive tolerance,
+    for dirty scans, points at most that far apart merge, and so do
+    chains of such points (single linkage).  Vertices keep the
     coordinates and the order of their first occurrence.
     """
     raw = np.asarray(raw_vertices, dtype=np.float64).reshape(-1, 3)
-    keys = np.round(raw / tolerance).astype(np.int64) if tolerance > 0.0 else raw
+    keys = raw
+    if tolerance > 0.0:
+        from scipy.sparse import coo_matrix
+        from scipy.sparse.csgraph import connected_components
+        from scipy.spatial import cKDTree
+
+        pairs = cKDTree(raw).query_pairs(tolerance, output_type="ndarray")
+        links = coo_matrix(
+            (np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(len(raw),) * 2
+        )
+        _, keys = connected_components(links, directed=False)
     first, index = first_occurrence(keys)
     return raw[first], index[np.asarray(raw_triangles, dtype=np.int64)]
 

@@ -208,7 +208,9 @@ def remesh_model(model: Triangulation, opt: PipelineOptions | None = None):
             "output_boundary_loops": out_report.boundary_loop_count,
             "output_watertight": out_report.watertight,
             "remesh_faces": [
-                {"passes": res.passes, "converged": res.converged}
+                {"passes": res.passes, "converged": res.converged,
+                 "splits": res.splits, "collapses": res.collapses,
+                 "flips": res.flips, "moves": res.moves}
                 for res, _ in meshed
             ],
             "total_seconds": time.perf_counter() - t0,

@@ -33,21 +33,35 @@ def point_on_segment(p, a, b, tol):
     return bool(np.all(p >= lo) and np.all(p <= hi))
 
 
+BLOCK = 1 << 16  # (point, edge) pairs evaluated at once by winding_numbers
+
+
+def winding_numbers(points, loops):
+    """(n,) total winding of `loops` (sequences of 2D points) around (n, 2) points.
+
+    Crossings are half-open in y: an edge running up through a point's
+    height counts +1 when the point is on its left, one running down
+    counts -1 when the point is on its right.
+    """
+    P = np.asarray(points, dtype=np.float64).reshape(-1, 2)
+    wn = np.zeros(len(P), dtype=np.int64)
+    for loop in loops:
+        a = np.asarray(loop, dtype=np.float64).reshape(-1, 2)
+        b = np.roll(a, -1, axis=0)
+        step = max(1, BLOCK // max(len(a), 1))
+        for lo in range(0, len(P), step):
+            x = P[lo:lo + step, 0, None]
+            y = P[lo:lo + step, 1, None]
+            o = _orient((a[:, 0], a[:, 1]), (b[:, 0], b[:, 1]), (x, y))
+            up = (a[:, 1] <= y) & (b[:, 1] > y) & (o > 0.0)
+            down = (a[:, 1] > y) & (b[:, 1] <= y) & (o < 0.0)
+            wn[lo:lo + step] += up.sum(axis=1) - down.sum(axis=1)
+    return wn
+
+
 def winding_number(point, loops):
     """Total winding of `loops` (lists of 2D points) around `point`."""
-    wn = 0
-    x, y = point
-    for loop in loops:
-        n = len(loop)
-        for i in range(n):
-            ax, ay = loop[i]
-            bx, by = loop[(i + 1) % n]
-            if ay <= y:
-                if by > y and _orient((ax, ay), (bx, by), (x, y)) > 0.0:
-                    wn += 1
-            elif by <= y and _orient((ax, ay), (bx, by), (x, y)) < 0.0:
-                wn -= 1
-    return wn
+    return int(winding_numbers([point], loops)[0])
 
 
 class PlanarMesh:
@@ -55,7 +69,8 @@ class PlanarMesh:
 
     Deleted triangles are tombstoned with None; `compact()` returns clean
     arrays.  Constrained edges (domain boundary) are never flipped,
-    split, or collapsed by the editing helpers.
+    split, or collapsed by the editing helpers.  `constrain` marks an
+    edge; `boundary` holds every vertex of a constrained edge.
     """
 
     def __init__(self, points, triangles):
@@ -64,6 +79,7 @@ class PlanarMesh:
         self.e2t: dict[tuple[int, int], list[int]] = {}
         self.v2t: dict[int, set[int]] = {i: set() for i in range(len(self.points))}
         self.constrained: set[tuple[int, int]] = set()
+        self.boundary: set[int] = set()
         for t in triangles:
             self._add_tri(tuple(int(v) for v in t))
 
@@ -105,25 +121,13 @@ class PlanarMesh:
     def edges(self):
         return list(self.e2t)
 
-    def opposite_vertices(self, edge):
-        out = []
-        for tid in self.e2t[edge]:
-            out.append(next(v for v in self.tris[tid] if v not in edge))
-        return out
+    def constrain(self, a, b):
+        key = self._ekey(a, b)
+        self.constrained.add(key)
+        self.boundary.update(key)
 
     def is_boundary_vertex(self, v):
-        return any(
-            v in e and e in self.constrained for e in self._vertex_edges(v)
-        )
-
-    def _vertex_edges(self, v):
-        seen = set()
-        for tid in self.v2t[v]:
-            tri = self.tris[tid]
-            for w in tri:
-                if w != v:
-                    seen.add(self._ekey(v, w))
-        return seen
+        return v in self.boundary
 
     # -- local operations ---------------------------------------------------
 
@@ -180,8 +184,8 @@ class PlanarMesh:
             self._add_tri((m, y, z))
         if was_constrained:
             self.constrained.discard(edge)
-            self.constrained.add(self._ekey(a, m))
-            self.constrained.add(self._ekey(m, b))
+            self.constrain(a, m)
+            self.constrain(m, b)
         return m
 
     def collapse(self, edge):
@@ -262,7 +266,7 @@ def constrained_triangulation(points, constraint_edges, tol=1e-12):
         a, b = queue.pop(0)
         key = mesh._ekey(a, b)
         if key in mesh.e2t:
-            mesh.constrained.add(key)
+            mesh.constrain(a, b)
             continue
         pa, pb = mesh.points[a], mesh.points[b]
         # a vertex sitting on the constraint splits it
@@ -296,11 +300,11 @@ def constrained_triangulation(points, constraint_edges, tol=1e-12):
 
 def clip_to_loops(mesh: PlanarMesh, loops_xy):
     """Delete triangles whose centroid is outside the union of loops."""
-    for tid, tri in enumerate(mesh.tris):
-        if tri is None:
-            continue
-        cen = (
-            mesh.points[tri[0]] + mesh.points[tri[1]] + mesh.points[tri[2]]
-        ) / 3.0
-        if winding_number(cen, loops_xy) == 0:
-            mesh._remove_tri(tid)
+    live = [tid for tid, tri in enumerate(mesh.tris) if tri is not None]
+    if not live:
+        return
+    pts = np.asarray(mesh.points)
+    corners = pts[np.asarray([mesh.tris[tid] for tid in live])]
+    cen = (corners[:, 0] + corners[:, 1] + corners[:, 2]) / 3.0
+    for k in np.flatnonzero(winding_numbers(cen, loops_xy) == 0):
+        mesh._remove_tri(live[k])

@@ -10,6 +10,7 @@ lie exactly on the input triangulation.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +39,8 @@ class UVLocator:
     box on each axis, so the triangle is listed in q's own cell.  A query
     therefore scans its own cell only; a query whose cell holds no
     triangle with margin >= -tol (a point outside the domain) scans every
-    triangle.
+    triangle.  `locate` scans one point's cell in Python floats with the
+    same expressions as `locate_many`, so both give the same answer.
     """
 
     BLOCK = 1 << 12  # (query, triangle) pairs evaluated at once: bounds the temporaries
@@ -62,11 +64,13 @@ class UVLocator:
         self.cell = ext / ncell  # mean cell size
         cen = p.mean(axis=1)
         self._walls = np.sort(cen, axis=0)[np.arange(1, ncell) * m // ncell].T
+        self._wall_lists = self._walls.tolist()
         pad = (2.0 * tol + 1e-6) * ext  # the 1e-6 covers rounding in the margins
         clo = self._cell_ij(p.min(axis=1) - pad)
         chi = self._cell_ij(p.max(axis=1) + pad)
         span = chi - clo + 1
-        count = span[:, 0] * span[:, 1]
+        # a degenerate triangle's margin is -inf: it is listed in no cell
+        count = np.where(self._degenerate, 0, span[:, 0] * span[:, 1])
         tri = np.repeat(np.arange(m), count)
         k = np.arange(len(tri)) - np.repeat(np.cumsum(count) - count, count)
         cell = (clo[tri, 0] + k // span[tri, 1]) * ncell + clo[tri, 1] + k % span[tri, 1]
@@ -83,11 +87,41 @@ class UVLocator:
             np.searchsorted(self._walls[1], X[:, 1], side="right"),
         ])
 
+    @staticmethod
+    def _weights(qx, qy, ax, ay, e1x, e1y, e2x, e2y, d):
+        """Barycentric weights (w0, w1, w2) of points (qx, qy) in triangles
+        given by their columns of `_coef`: floats or broadcasting arrays."""
+        rx = qx - ax
+        ry = qy - ay
+        w1 = (rx * e2y - ry * e2x) / d
+        w2 = (e1x * ry - e1y * rx) / d
+        return 1.0 - w1 - w2, w1, w2
+
+    def _scan(self, Q):
+        """(t, margin, weights) of (n, 2) points over every triangle."""
+        n, m = len(Q), len(self.tris)
+        t = np.empty(n, dtype=np.int64)
+        top = np.empty(n)
+        w = np.empty((n, 3))
+        step = max(1, self.BLOCK // max(m, 1))
+        for lo in range(0, n, step):
+            q = Q[lo:lo + step, :, None]
+            w0, w1, w2 = self._weights(q[:, 0], q[:, 1], *self._coef)
+            margin = np.minimum(np.minimum(w0, w1), w2)
+            margin[:, self._degenerate] = -np.inf
+            k = np.argmax(margin, axis=1)  # the first maximum
+            r = np.arange(len(k))
+            t[lo:lo + step] = k
+            top[lo:lo + step] = margin[r, k]
+            w[lo:lo + step] = np.column_stack([w0[r, k], w1[r, k], w2[r, k]])
+        return t, top, w
+
     def _best(self, Q, lists, start, cnt):
         """Per query q, the best triangle of lists[start[q]:start[q] + cnt[q]].
 
         Returns (t, margin, weights); t is -1 and the margin -inf where the
-        list is empty.  Lists must hold ascending triangle ids.
+        list is empty.  Lists must hold ascending ids of non-degenerate
+        triangles.
         """
         n = len(Q)
         t = np.full(n, -1, dtype=np.int64)
@@ -105,15 +139,8 @@ class UVLocator:
             c = cnt[rows]
             first = np.cumsum(c) - c
             cand = lists[np.arange(first[-1] + c[-1]) - np.repeat(first - start[rows], c)]
-            ax, ay, e1x, e1y, e2x, e2y, d = self._coef[:, cand]
-            qx, qy = Q[np.repeat(rows, c)].T
-            rx = qx - ax
-            ry = qy - ay
-            w1 = (rx * e2y - ry * e2x) / d
-            w2 = (e1x * ry - e1y * rx) / d
-            w0 = 1.0 - w1 - w2
+            w0, w1, w2 = self._weights(*Q[np.repeat(rows, c)].T, *self._coef[:, cand])
             margin = np.minimum(np.minimum(w0, w1), w2)
-            margin[self._degenerate[cand]] = -np.inf
             mx = np.maximum.reduceat(margin, first)
             hit = np.flatnonzero(margin == np.repeat(mx, c))
             k = hit[np.searchsorted(hit, first)]  # first maximum of each list
@@ -137,11 +164,7 @@ class UVLocator:
         t, top, w = self._best(Q, self._cell_tris, start, self._cell_start[cell + 1] - start)
         far = np.flatnonzero(top < -self.tol)
         if far.size:
-            m = len(self.tris)
-            t[far], top[far], w[far] = self._best(
-                Q[far], np.arange(m), np.zeros(far.size, dtype=np.int64),
-                np.full(far.size, m),
-            )
+            t[far], top[far], w[far] = self._scan(Q[far])
         ok = (top >= -self.tol) | (clamp & (t >= 0))
         if not ok.all():
             i = int(np.argmin(ok))
@@ -153,8 +176,22 @@ class UVLocator:
 
     def locate(self, q, clamp=False):
         """(triangle id, barycentric weights) of one point; see locate_many."""
-        t, w = self.locate_many(q, clamp)
-        return int(t[0]), w[0]
+        x, y = np.asarray(q, dtype=np.float64).reshape(2).tolist()
+        i = bisect_right(self._wall_lists[0], x)
+        j = bisect_right(self._wall_lists[1], y)
+        lo, hi = self._cell_start[i * self.ncell + j: i * self.ncell + j + 2].tolist()
+        cand = self._cell_tris[lo:hi]
+        t, top = -1, -np.inf
+        for k, coef in enumerate(self._coef[:, cand].T.tolist()):
+            weights = self._weights(x, y, *coef)
+            margin = min(weights)
+            if margin > top:  # the first maximum
+                t, top, w = k, margin, weights
+        if top < -self.tol:  # outside the domain: locate_many scans every triangle
+            t, w = self.locate_many(q, clamp)
+            return int(t[0]), w[0]
+        w = np.clip(w, 0.0, None)
+        return int(cand[t]), w / ((w[0] + w[1]) + w[2])
 
 
 class FaceMetric:
@@ -175,19 +212,38 @@ class FaceMetric:
         """(n,) metric lengths of segments P[k] -> Q[k], two Gauss points each."""
         P = np.asarray(P, dtype=np.float64).reshape(-1, 2)
         D = np.asarray(Q, dtype=np.float64).reshape(-1, 2) - P
-        total = 0.0
-        for g in GAUSS:
-            sq = (D[:, None, :] @ self.at(P + g * D) @ D[:, :, None])[:, 0, 0]
-            total = total + 0.5 * np.sqrt(np.maximum(sq, 0.0))
-        return total
+        D2 = np.concatenate([D, D])
+        M = self.at(np.concatenate([P + g * D for g in GAUSS]))
+        half = 0.5 * np.sqrt(np.maximum((D2[:, None, :] @ M @ D2[:, :, None])[:, 0, 0], 0.0))
+        return half[:len(P)] + half[len(P):]
 
-    def angle(self, M, u, v):
-        nu = float(np.sqrt(max(u @ M @ u, 0.0)))
-        nv = float(np.sqrt(max(v @ M @ v, 0.0)))
-        if nu == 0.0 or nv == 0.0:
-            return 0.0
-        c = float(u @ M @ v) / (nu * nv)
-        return float(np.arccos(min(max(c, -1.0), 1.0)))
+
+def metric_angles(M, U, V):
+    """(n,) angles between U[k] and V[k] under the (n, 2, 2) tensors M[k].
+
+    A zero-length vector gives the angle 0.  The products are stacked
+    `@`, which rounds as `u @ M @ v` of one pair of vectors does; an
+    explicit `u0 * M00 + u1 * M10` may not, where `@` fuses a multiply
+    and an add.
+    """
+    UM = U[:, None, :] @ M
+    nu = np.sqrt(np.maximum((UM @ U[:, :, None])[:, 0, 0], 0.0))
+    nv = np.sqrt(np.maximum(((V[:, None, :] @ M) @ V[:, :, None])[:, 0, 0], 0.0))
+    zero = (nu == 0.0) | (nv == 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = (UM @ V[:, :, None])[:, 0, 0] / (nu * nv)
+        return np.where(zero, 0.0, np.arccos(np.minimum(np.maximum(c, -1.0), 1.0)))
+
+
+def flip_wanted(M, P):
+    """(n,) metric Delaunay test of the (n, 4, 2) quads (a, b, c, d) of edges
+    ab with opposite vertices c and d: the angles at c and d under the
+    (n, 2, 2) tensors M sum to more than pi."""
+    D = P[:, :2, None] - P[:, None, 2:]  # D[:, i, j] = P[:, i] - P[:, 2 + j]
+    U = D[:, 0].reshape(-1, 2)  # a - c, a - d
+    V = D[:, 1].reshape(-1, 2)  # b - c, b - d
+    ang = metric_angles(np.repeat(M, 2, axis=0), U, V).reshape(-1, 2)
+    return ang[:, 0] + ang[:, 1] > np.pi + 1e-9
 
 
 def discretize_curve(points3d, h, closed=False):
@@ -227,6 +283,11 @@ class FaceMeshResult:
     locator: UVLocator  # the face's parametric triangles, for map_to_3d
     passes: int = 0  # adaptation passes run
     converged: bool = False  # the last pass changed nothing
+    # accepted adaptation edits, summed over passes
+    splits: int = 0
+    collapses: int = 0
+    flips: int = 0
+    moves: int = 0
 
 
 def mesh_patch_uv(
@@ -266,15 +327,28 @@ def mesh_patch_uv(
         e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         return pts[e[:, 0]], pts[e[:, 1]]
 
+    def quad(e):
+        """(a, b, c, d): edge e = (a, b) and its opposite vertices, or None
+        unless e has two triangles."""
+        tids = mesh.e2t.get(e, ())
+        if len(tids) != 2:
+            return None
+        return (*e, *(sum(mesh.tris[t]) - e[0] - e[1] for t in tids))
+
     # Split, collapse and flip each read the metric in one call at their
     # start.  Splits act on the lengths they start with, and collapses and
     # flips move no vertex that survives, so every edge they visit still
-    # has the ends it had then.  Smoothing moves vertices and stays serial.
+    # has the ends it had then.  The flip test of every edge is made at the
+    # start too; a flip changes the quads of the four edges around it,
+    # which are tested again when visited.  Smoothing moves vertices and
+    # stays serial.  Vertices past n_fixed are interior: no constrained
+    # edge is split.
+    counts = dict.fromkeys(("splits", "collapses", "flips", "moves"), 0)
     done = 0
     converged = False
     while done < passes and not converged:
         done += 1
-        changed = False
+        before = sum(counts.values())
         # split long edges, longest first
         edges = mesh.edges()
         lens = sorted(zip(metric.edge_lengths(*ends(edges)).tolist(), edges),
@@ -282,9 +356,8 @@ def mesh_patch_uv(
         for ln, e in lens:
             if ln <= METRIC_LONG or e in mesh.constrained:
                 continue
-            if e in mesh.e2t:
-                if mesh.split_edge(e) is not None:
-                    changed = True
+            if e in mesh.e2t and mesh.split_edge(e) is not None:
+                counts["splits"] += 1
         # collapse short interior edges
         edges = [
             e for e in sorted(mesh.edges())
@@ -293,31 +366,32 @@ def mesh_patch_uv(
         short = metric.edge_lengths(*ends(edges)) < METRIC_SHORT
         for e, is_short in zip(edges, short):
             if is_short and e in mesh.e2t and mesh.collapse(e):
-                changed = True
+                counts["collapses"] += 1
         # metric Delaunay flips
         edges = [e for e in sorted(mesh.edges()) if e not in mesh.constrained]
-        a, b = ends(edges)
-        tensors = metric.at(0.5 * (a + b))
-        for e, M in zip(edges, tensors):
-            if e not in mesh.e2t:
+        pa, pb = ends(edges)
+        tensors = metric.at(0.5 * (pa + pb))
+        quads = [quad(e) for e in edges]
+        rows = [i for i, q in enumerate(quads) if q is not None]
+        corners = np.asarray(mesh.points)[np.asarray([quads[i] for i in rows], dtype=np.int64)]
+        want = dict(zip(rows, flip_wanted(tensors[rows], corners.reshape(-1, 4, 2)).tolist()))
+        stale = set()  # edges whose quad an earlier flip of this sweep changed
+        for i, e in enumerate(edges):
+            if e in stale:
+                quads[i] = q = quad(e)
+                if q is None or not flip_wanted(
+                    tensors[i:i + 1], np.asarray([[mesh.points[v] for v in q]])
+                )[0]:
+                    continue
+            elif not want.get(i):
                 continue
-            tids = mesh.e2t[e]
-            if len(tids) != 2:
-                continue
-            opp = mesh.opposite_vertices(e)
-            if len(opp) != 2:
-                continue
-            pa, pb = mesh.points[e[0]], mesh.points[e[1]]
-            ang = sum(
-                metric.angle(M, pa - mesh.points[o], pb - mesh.points[o])
-                for o in opp
-            )
-            if ang > np.pi + 1e-9:
-                if mesh.flip(e):
-                    changed = True
+            if mesh.flip(e):
+                counts["flips"] += 1
+                a, b, c, d = quads[i]
+                stale.update(mesh._ekey(*f) for f in ((a, c), (c, b), (b, d), (d, a)))
         # smooth interior vertices
         for v in range(n_fixed, len(mesh.points)):
-            if not mesh.v2t[v] or mesh.is_boundary_vertex(v):
+            if not mesh.v2t[v]:
                 continue
             nbrs = sorted(
                 {w for tid in mesh.v2t[v] for w in mesh.tris[tid] if w != v}
@@ -330,8 +404,8 @@ def mesh_patch_uv(
             except MeshError:
                 continue
             if mesh.move_vertex(v, target):
-                changed = True
-        converged = not changed
+                counts["moves"] += 1
+        converged = sum(counts.values()) == before
 
     pts, tris, used = mesh.compact()
     if (signed_uv_areas(tris, pts) <= 0.0).any():
@@ -345,6 +419,7 @@ def mesh_patch_uv(
         locator=metric.locator,
         passes=done,
         converged=converged,
+        **counts,
     )
 
 

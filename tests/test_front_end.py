@@ -135,20 +135,36 @@ def ref_segment(tri, adj, feature_edges):
 
 
 def ref_weld(raw_vertices, raw_triangles, tolerance=0.0):
+    """Exact-equality dict weld; with a positive tolerance, single linkage:
+    points at most `tolerance` apart share a vertex, and so do chains of
+    such points.  A vertex is its group's first occurrence."""
+    raw = np.asarray(raw_vertices, dtype=np.float64)
+    group = list(range(len(raw)))
+
+    def root(i):
+        while group[i] != i:
+            i = group[i]
+        return i
+
+    if tolerance > 0.0:
+        for i in range(len(raw)):
+            gap = raw[i + 1:] - raw[i]
+            for j in i + 1 + np.flatnonzero((gap * gap).sum(axis=1) <= tolerance * tolerance):
+                a, b = root(i), root(int(j))
+                group[max(a, b)] = min(a, b)
+    else:
+        seen = {}
+        for i, p in enumerate(raw):
+            group[i] = seen.setdefault((float(p[0]), float(p[1]), float(p[2])), i)
     seen = {}
-    index = np.empty(len(raw_vertices), dtype=np.int64)
+    index = np.empty(len(raw), dtype=np.int64)
     verts = []
-    for i, p in enumerate(raw_vertices):
-        if tolerance > 0.0:
-            key = tuple(np.round(np.asarray(p) / tolerance).astype(np.int64))
-        else:
-            key = (float(p[0]), float(p[1]), float(p[2]))
-        j = seen.get(key)
-        if j is None:
-            j = len(verts)
-            seen[key] = j
+    for i, p in enumerate(raw):
+        r = root(i)
+        if r not in seen:
+            seen[r] = len(verts)
             verts.append(p)
-        index[i] = j
+        index[i] = seen[r]
     tris = index[np.asarray(raw_triangles, dtype=np.int64)]
     return np.asarray(verts, dtype=np.float64), tris
 
@@ -353,7 +369,7 @@ def test_non_manifold_edge_still_raises_in_detection():
         detect_feature_edges(mesh, Adjacency(mesh), 40.0)
 
 
-@pytest.mark.parametrize("tolerance", [0.0, 1e-6, 0.05])
+@pytest.mark.parametrize("tolerance", [0.0, 1e-6, 0.05, 0.2])
 @pytest.mark.parametrize("build", BUILDS, ids=IDS)
 def test_weld_equals_dict_code(build, tolerance):
     mesh = build()
@@ -377,6 +393,20 @@ def test_weld_merges_signed_zeros_and_keeps_the_first():
     v, t = _weld(raw, tris)
     assert len(v) == 5 and t[0, 0] == t[1, 0]
     assert np.signbit(v[0, 2])  # the first occurrence's -0.0 is kept
+
+
+def test_weld_merges_by_distance_not_by_grid_cell():
+    # 2e-8 apart across a grid line at 1e-6 ...
+    raw = np.array([[0.49e-6, 0.0, 0.0], [0.51e-6, 0.0, 0.0], [1.0, 0.0, 0.0],
+                    [0.0, 1.0, 0.0], [1.49e-6, 0.0, 0.0], [3.0e-6, 0.0, 0.0]])
+    tris = np.array([[0, 2, 3], [1, 3, 2], [4, 5, 3]])
+    v, t = _weld(raw, tris, 1e-6)
+    # ... and 0.98e-6 apart within one cell merge alike; the chain
+    # 0.49e-6 - 0.51e-6 - 1.49e-6 is one vertex, 3e-6 stays apart
+    assert t.tolist() == [[0, 1, 2], [0, 2, 1], [0, 3, 2]]
+    assert np.array_equal(v, raw[[0, 2, 3, 5]])
+    rv, rt = ref_weld(raw, tris, 1e-6)
+    assert np.array_equal(_bits(v), _bits(rv)) and np.array_equal(t, rt)
 
 
 @pytest.mark.parametrize("split_boundary", [True, False])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scalar_reference import scalar_winding_number
 
 from atlasmesh.mesh import MeshError
 from atlasmesh.planar import (
@@ -11,6 +12,7 @@ from atlasmesh.planar import (
     point_on_segment,
     segments_cross,
     winding_number,
+    winding_numbers,
 )
 
 
@@ -37,6 +39,30 @@ def test_winding_number_with_hole():
     assert winding_number((5.0, 2.0), loops) == 0
 
 
+def test_winding_numbers_equal_the_scalar_loop():
+    rng = np.random.default_rng(3)
+    # an outer loop with horizontal edges and a notch, a clockwise hole,
+    # and a second, overlapping outer loop
+    outer = np.array([(0, 0), (4, 0), (4, 2), (3, 2), (3, 1), (2, 1), (2, 3),
+                      (4, 3), (4, 4), (0, 4)], dtype=float)
+    hole = np.array([(0.5, 0.5), (0.5, 1.5), (1.5, 1.5), (1.5, 0.5)])
+    other = np.array([(3.5, 3.5), (5, 3.5), (5, 5), (3.5, 5)])
+    loops = [outer, hole, other]
+    edges = np.concatenate([np.column_stack([lp, np.roll(lp, -1, axis=0)]) for lp in loops])
+    t = rng.uniform(0.0, 1.0, (len(edges), 1))
+    points = np.concatenate([
+        np.concatenate(loops),  # loop vertices
+        edges[:, :2] + t * (edges[:, 2:] - edges[:, :2]),  # on loop edges, horizontal ones too
+        edges[:, :2] + [[0.25, 0.0]],  # level with a vertex
+        rng.uniform(-1.0, 6.0, (500, 2)),
+        np.round(rng.uniform(-1.0, 6.0, (300, 2)) * 2.0) / 2.0,  # on grid lines
+    ])
+    want = [scalar_winding_number(q, loops) for q in points]
+    assert np.array_equal(winding_numbers(points, loops), want)
+    assert [winding_number(q, loops) for q in points[::7]] == want[::7]
+    assert set(want) == {0, 1, 2}
+
+
 def _square_mesh():
     pts = [(0, 0), (1, 0), (1, 1), (0, 1), (0.5, 0.5)]
     tris = [(0, 1, 4), (1, 2, 4), (2, 3, 4), (3, 0, 4)]
@@ -49,7 +75,7 @@ def test_flip_preserves_coverage():
     # interior edges all touch the centre vertex 4; flipping (0, 4) is
     # valid only if the surrounding quad is convex — here it is flat, so
     # expect a rejection; flip a constrained edge is also rejected
-    m.constrained.add((0, 1))
+    m.constrain(0, 1)
     assert not m.flip((0, 1))
     after = sum(m.area(t) for t, tri in enumerate(m.tris) if tri is not None)
     assert after == pytest.approx(before)
@@ -57,7 +83,7 @@ def test_flip_preserves_coverage():
 
 def test_split_edge_midpoint_and_constraints():
     m = _square_mesh()
-    m.constrained.add((0, 1))
+    m.constrain(0, 1)
     v = m.split_edge((0, 1))
     assert v is not None
     assert np.allclose(m.points[v], [0.5, 0.0])
@@ -70,7 +96,7 @@ def test_split_edge_midpoint_and_constraints():
 def test_collapse_interior_vertex():
     m = _square_mesh()
     for k in range(4):
-        m.constrained.add((k, (k + 1) % 4))
+        m.constrain(k, (k + 1) % 4)
     assert m.collapse((4, 0))
     live = [t for t in m.tris if t is not None]
     assert len(live) == 2

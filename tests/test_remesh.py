@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from fixtures import concave_hole_plate, cube, cylinder_shell, random_disk_fixture, torus
+from fixtures import concave_hole_plate, cube, cylinder_shell, random_disk_fixture, sphere, torus
+from scalar_reference import reference_mesh_patch_uv, scalar_angle
 
 from atlasmesh import pipeline, remesh
 from atlasmesh.mesh import MeshError, validate
@@ -20,6 +21,9 @@ from atlasmesh.remesh import (
     FaceMetric,
     UVLocator,
     discretize_curve,
+    flip_wanted,
+    mesh_patch_uv,
+    metric_angles,
     stitch,
 )
 
@@ -227,6 +231,123 @@ def test_edge_lengths_equal_scalar_gauss_formula(uv_faces):
                 total += 0.5 * float(np.sqrt(max(d @ M @ d, 0.0)))
             want.append(total)
         assert np.array_equal(metric.edge_lengths(P, Q), want), name
+
+
+def test_locate_equals_point_locator_on_walls_edges_and_vertices(uv_faces):
+    for k, (name, patch, param) in enumerate(uv_faces):
+        uv, tris = param.uv, patch.tri.triangles
+        ref = PointLocator(uv, tris)
+        loc = UVLocator(uv, tris)
+        inside, outside = _queries(uv, tris, k)
+        rng = np.random.default_rng(k)
+        lo, hi = uv.min(axis=0), uv.max(axis=0)
+        wx, wy = loc._walls
+        on_walls = np.concatenate([  # exactly on cell walls, inside and outside
+            np.column_stack([wx, rng.uniform(lo[1], hi[1], len(wx))]),
+            np.column_stack([rng.uniform(lo[0], hi[0], len(wy)), wy]),
+            np.column_stack([wx[: len(wy)], wy[: len(wx)]]),
+        ])
+        along = rng.uniform(0.0, 1.0, (len(tris), 1))  # on triangle edges
+        on_edges = uv[tris[:, 0]] + along * (uv[tris[:, 1]] - uv[tris[:, 0]])
+        for clamp in (False, True):
+            for Q in (inside, outside, on_walls, on_edges, uv):
+                for q in Q:
+                    try:
+                        want = ref.locate(q, clamp)
+                    except MeshError:
+                        with pytest.raises(MeshError):
+                            loc.locate(q, clamp)
+                        continue
+                    t, b = loc.locate(q, clamp)
+                    assert (t, b.tolist()) == (want[0], want[1].tolist()), name
+
+
+def test_locate_next_to_a_degenerate_triangle():
+    # triangle 2 has three collinear corners; its neighbours share its line
+    uv = np.array([[0, 0], [1, 0], [2, 0], [1, 1], [1, -1], [3, 1]], dtype=float)
+    tris = np.array([[0, 1, 3], [1, 2, 3], [0, 1, 2], [0, 4, 2], [2, 5, 3]])
+    ref = PointLocator(uv, tris)
+    loc = UVLocator(uv, tris)
+    assert loc._degenerate.tolist() == [False, False, True, False, False]
+    Q = [[0.5, 0.0], [1.0, 0.0], [1.5, 1e-15], [1.5, -1e-15], [0.5, 1e-9], [2.0, 0.0],
+         [0.0, 0.0], [-1e-12, 0.0], [3.0, 0.0], [1.0, 2.0], [2.5, 0.5]]
+    for clamp in (False, True):
+        for q in Q:
+            try:
+                want = ref.locate(q, clamp)
+            except MeshError:
+                with pytest.raises(MeshError):
+                    loc.locate(q, clamp)
+                with pytest.raises(MeshError):
+                    loc.locate_many([q], clamp)
+                continue
+            t, b = loc.locate(q, clamp)
+            assert t != 2
+            assert (t, b.tolist()) == (want[0], want[1].tolist()), q
+            tm, bm = loc.locate_many([q], clamp)
+            assert (tm[0], bm[0].tolist()) == (want[0], want[1].tolist()), q
+
+
+def _quads_and_tensors(n, seed):
+    """Random quads (a, b, c, d), some with repeated corners, and SPD tensors."""
+    rng = np.random.default_rng(seed)
+    P = rng.normal(size=(n, 4, 2)) * rng.uniform(1e-3, 1e3, (n, 1, 1))
+    P[: n // 10, 2] = P[: n // 10, 0]  # a - c = 0
+    P[n // 10: n // 5, 3] = P[n // 10: n // 5, 1]  # b - d = 0
+    P[n // 5: n // 4, 1] = P[n // 5: n // 4, 0]  # a = b: zero angles
+    P[n // 4: n // 3] = np.round(P[n // 4: n // 3])  # collinear and repeated corners
+    A = rng.normal(size=(n, 2, 2))
+    M = A @ A.transpose(0, 2, 1) + rng.uniform(0.0, 1.0, (n, 1, 1)) * np.eye(2)
+    M *= rng.uniform(1e-2, 1e4, (n, 1, 1))
+    M[: n // 20] = np.eye(2)
+    return P, M
+
+
+def test_stacked_flip_angles_equal_the_scalar_formula():
+    P, M = _quads_and_tensors(4000, 0)
+    for o in (2, 3):
+        U, V = P[:, 0] - P[:, o], P[:, 1] - P[:, o]
+        want = [scalar_angle(m, u, v) for m, u, v in zip(M, U, V)]
+        assert np.array_equal(metric_angles(M, U, V), want)
+        assert np.array_equal(metric_angles(M[:1], U[:1], V[:1]), want[:1])
+    decide = [
+        sum(scalar_angle(m, p[0] - p[o], p[1] - p[o]) for o in (2, 3)) > np.pi + 1e-9
+        for m, p in zip(M, P)
+    ]
+    assert np.array_equal(flip_wanted(M, P), decide)
+    assert 0 < sum(decide) < len(decide)
+    for i in range(0, len(P), 97):  # one quad at a time, as the serial sweep asks
+        assert flip_wanted(M[i:i + 1], P[i:i + 1])[0] == decide[i]
+
+
+ADAPT_CASES = [
+    ("cube", cube, 0.25),
+    ("sphere", lambda: sphere(3), 0.25),
+    ("torus", torus, 0.3),
+    ("cylinder", cylinder_shell, 0.3),
+    ("plate", concave_hole_plate, 0.15),
+] + [(f"disk{seed}", lambda seed=seed: random_disk_fixture(seed), 0.3) for seed in range(4)]
+
+
+@pytest.mark.parametrize("build,h", [c[1:] for c in ADAPT_CASES], ids=[c[0] for c in ADAPT_CASES])
+def test_mesh_patch_uv_equals_the_serial_reference(build, h):
+    atlas = build_atlas(build(), PipelineOptions(size=h))
+    _, curves = boundary_samples(atlas, h)
+    for face in range(len(atlas.brep.faces)):
+        args = (atlas.patches[face], atlas.params[face], face_sample_loops(atlas, face, curves), h)
+        try:
+            pts, tris, ids, passes, converged, counts = reference_mesh_patch_uv(*args)
+        except MeshError as exc:
+            with pytest.raises(MeshError, match=str(exc)):
+                mesh_patch_uv(*args)
+            continue
+        res = mesh_patch_uv(*args)
+        assert np.array_equal(res.uv_points, pts), face
+        assert np.array_equal(res.triangles, tris), face
+        assert np.array_equal(res.sample_ids, ids), face
+        assert (res.passes, res.converged) == (passes, converged), face
+        got = {key: getattr(res, key) for key in counts}
+        assert got == counts, face
 
 
 def test_stitch_dedupes_shared_keys():

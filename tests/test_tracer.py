@@ -50,3 +50,18 @@ def test_tracer_sees_every_remesh_layer(tmp_path):
     assert all(getattr(pipeline, name) is before[name] for name in names)
     assert remesh.UVLocator.locate is locate
     assert planar.PlanarMesh.split_edge is split
+
+
+def test_face_edit_counters_equal_the_tracer_counts():
+    # the tracer counts accepted edits outside constraint recovery, as the
+    # per-face counters of the summary do
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        _, summary, _ = pipeline.remesh_model(cube(), pipeline.PipelineOptions(size=0.25))
+    finally:
+        tracer.uninstall()
+    faces = summary["remesh_faces"]
+    for key in spans.EDITS.values():
+        assert sum(face[key] for face in faces) == tracer.counters.get("planar." + key, 0), key
+    assert all(face["flips"] > 0 and face["moves"] > 0 for face in faces)
