@@ -67,21 +67,27 @@ def winding_number(point, loops):
 class PlanarMesh:
     """Mutable 2D triangulation with positively oriented triangles.
 
-    Deleted triangles are tombstoned with None; `compact()` returns clean
-    arrays.  Constrained edges (domain boundary) are never flipped,
-    split, or collapsed by the editing helpers.  `constrain` marks an
-    edge; `boundary` holds every vertex of a constrained edge.
+    Points are (x, y) pairs of Python floats; the predicates use the same
+    expressions as on numpy scalars, so they round the same.  Deleted
+    triangles are tombstoned with None; `compact()` returns clean arrays.
+    `e2t` maps each undirected edge to its triangles in ascending id
+    order: the CDT can leave zero-area triangles over collinear samples,
+    and then two live triangles may share a directed edge.  Constrained
+    edges (domain boundary) are never flipped, split, or collapsed by the
+    editing helpers.  `constrain` marks an edge; `boundary` holds every
+    vertex of a constrained edge.
     """
 
     def __init__(self, points, triangles):
-        self.points = [np.asarray(p, dtype=np.float64) for p in points]
+        pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
+        self.points = list(map(tuple, pts.tolist()))
         self.tris: list = []
         self.e2t: dict[tuple[int, int], list[int]] = {}
         self.v2t: dict[int, set[int]] = {i: set() for i in range(len(self.points))}
         self.constrained: set[tuple[int, int]] = set()
         self.boundary: set[int] = set()
-        for t in triangles:
-            self._add_tri(tuple(int(v) for v in t))
+        for t in np.asarray(triangles, dtype=np.int64).reshape(-1, 3).tolist():
+            self._add_tri(tuple(t))
 
     # -- bookkeeping --------------------------------------------------------
 
@@ -92,31 +98,45 @@ class PlanarMesh:
     def _add_tri(self, tri):
         tid = len(self.tris)
         self.tris.append(tri)
-        for k in range(3):
-            key = self._ekey(tri[k], tri[(k + 1) % 3])
-            self.e2t.setdefault(key, []).append(tid)
-            self.v2t.setdefault(tri[k], set()).add(tid)
+        a, b, c = tri
+        e2t = self.e2t
+        for key in ((a, b) if a < b else (b, a), (b, c) if b < c else (c, b),
+                    (c, a) if c < a else (a, c)):
+            tids = e2t.get(key)
+            if tids is None:
+                e2t[key] = [tid]
+            else:
+                tids.append(tid)
+        v2t = self.v2t
+        v2t[a].add(tid)
+        v2t[b].add(tid)
+        v2t[c].add(tid)
         return tid
 
     def _remove_tri(self, tid):
-        tri = self.tris[tid]
-        for k in range(3):
-            key = self._ekey(tri[k], tri[(k + 1) % 3])
-            self.e2t[key].remove(tid)
-            if not self.e2t[key]:
-                del self.e2t[key]
-            self.v2t[tri[k]].discard(tid)
+        a, b, c = self.tris[tid]
+        e2t = self.e2t
+        for key in ((a, b) if a < b else (b, a), (b, c) if b < c else (c, b),
+                    (c, a) if c < a else (a, c)):
+            tids = e2t[key]
+            tids.remove(tid)
+            if not tids:
+                del e2t[key]
+        v2t = self.v2t
+        v2t[a].discard(tid)
+        v2t[b].discard(tid)
+        v2t[c].discard(tid)
         self.tris[tid] = None
 
     def add_point(self, p):
         vid = len(self.points)
-        self.points.append(np.asarray(p, dtype=np.float64))
+        self.points.append((float(p[0]), float(p[1])))
         self.v2t[vid] = set()
         return vid
 
     def area(self, tid):
-        a, b, c = (self.points[v] for v in self.tris[tid])
-        return 0.5 * _orient(a, b, c)
+        a, b, c = self.tris[tid]
+        return 0.5 * _orient(self.points[a], self.points[b], self.points[c])
 
     def edges(self):
         return list(self.e2t)
@@ -169,7 +189,8 @@ class PlanarMesh:
             return None
         a, b = edge
         if point is None:
-            point = 0.5 * (self.points[a] + self.points[b])
+            (ax, ay), (bx, by) = self.points[a], self.points[b]
+            point = (0.5 * (ax + bx), 0.5 * (ay + by))
         m = self.add_point(point)
         was_constrained = edge in self.constrained
         for tid in tids:
@@ -217,7 +238,7 @@ class PlanarMesh:
     def move_vertex(self, v, point):
         """Relocate an interior vertex if all incident triangles stay positive."""
         old = self.points[v]
-        self.points[v] = np.asarray(point, dtype=np.float64)
+        self.points[v] = (float(point[0]), float(point[1]))
         for tid in self.v2t[v]:
             if self.area(tid) <= 0.0:
                 self.points[v] = old
@@ -276,7 +297,7 @@ def constrained_triangulation(points, constraint_edges, tol=1e-12):
             and point_on_segment(mesh.points[v], pa, pb, eps)
         ]
         if on_seg:
-            v = min(on_seg, key=lambda v: float(np.linalg.norm(mesh.points[v] - pa)))
+            v = min(on_seg, key=lambda v: float(np.linalg.norm(np.subtract(mesh.points[v], pa))))
             queue.insert(0, mesh._ekey(v, b))
             queue.insert(0, mesh._ekey(a, v))
             continue

@@ -335,14 +335,26 @@ def mesh_patch_uv(
             return None
         return (*e, *(sum(mesh.tris[t]) - e[0] - e[1] for t in tids))
 
+    def retest(rows):
+        """Set quads[i] and want[i] for the given rows of the flip sweep from
+        the mesh as it is now."""
+        for i in rows:
+            quads[i] = quad(edges[i])
+            want[i] = False
+        rows = [i for i in rows if quads[i] is not None]
+        P = np.asarray([mesh.points[v] for i in rows for v in quads[i]])
+        for i, w in zip(rows, flip_wanted(tensors[rows], P.reshape(-1, 4, 2)).tolist()):
+            want[i] = w
+
     # Split, collapse and flip each read the metric in one call at their
     # start.  Splits act on the lengths they start with, and collapses and
     # flips move no vertex that survives, so every edge they visit still
     # has the ends it had then.  The flip test of every edge is made at the
-    # start too; a flip changes the quads of the four edges around it,
-    # which are tested again when visited.  Smoothing moves vertices and
-    # stays serial.  Vertices past n_fixed are interior: no constrained
-    # edge is split.
+    # start too; a flip changes the quads of the four edges around it, and
+    # those not yet visited are tested again, together, when the sweep
+    # reaches the first of them.  Smoothing moves vertices and stays
+    # serial.  Vertices past n_fixed are interior: no constrained edge is
+    # split.
     counts = dict.fromkeys(("splits", "collapses", "flips", "moves"), 0)
     done = 0
     converged = False
@@ -350,13 +362,11 @@ def mesh_patch_uv(
         done += 1
         before = sum(counts.values())
         # split long edges, longest first
-        edges = mesh.edges()
+        edges = [e for e in mesh.edges() if e not in mesh.constrained]
         lens = sorted(zip(metric.edge_lengths(*ends(edges)).tolist(), edges),
                       key=lambda x: (-x[0], x[1]))
         for ln, e in lens:
-            if ln <= METRIC_LONG or e in mesh.constrained:
-                continue
-            if e in mesh.e2t and mesh.split_edge(e) is not None:
+            if ln > METRIC_LONG and e in mesh.e2t and mesh.split_edge(e) is not None:
                 counts["splits"] += 1
         # collapse short interior edges
         edges = [
@@ -371,26 +381,25 @@ def mesh_patch_uv(
         edges = [e for e in sorted(mesh.edges()) if e not in mesh.constrained]
         pa, pb = ends(edges)
         tensors = metric.at(0.5 * (pa + pb))
-        quads = [quad(e) for e in edges]
-        rows = [i for i, q in enumerate(quads) if q is not None]
-        corners = np.asarray(mesh.points)[np.asarray([quads[i] for i in rows], dtype=np.int64)]
-        want = dict(zip(rows, flip_wanted(tensors[rows], corners.reshape(-1, 4, 2)).tolist()))
-        stale = set()  # edges whose quad an earlier flip of this sweep changed
+        position = {e: i for i, e in enumerate(edges)}
+        quads = [None] * len(edges)
+        want = [False] * len(edges)
+        retest(range(len(edges)))
+        pending = set()  # unvisited edges whose quad a flip of this sweep changed
         for i, e in enumerate(edges):
-            if e in stale:
-                quads[i] = q = quad(e)
-                if q is None or not flip_wanted(
-                    tensors[i:i + 1], np.asarray([[mesh.points[v] for v in q]])
-                )[0]:
-                    continue
-            elif not want.get(i):
-                continue
-            if mesh.flip(e):
+            if e in pending:
+                retest([position[f] for f in pending])
+                pending.clear()
+            if want[i] and mesh.flip(e):
                 counts["flips"] += 1
                 a, b, c, d = quads[i]
-                stale.update(mesh._ekey(*f) for f in ((a, c), (c, b), (b, d), (d, a)))
+                for f in ((a, c), (c, b), (b, d), (d, a)):
+                    f = mesh._ekey(*f)
+                    if position.get(f, -1) > i:
+                        pending.add(f)
         # smooth interior vertices
-        for v in range(n_fixed, len(mesh.points)):
+        pts = mesh.points
+        for v in range(n_fixed, len(pts)):
             if not mesh.v2t[v]:
                 continue
             nbrs = sorted(
@@ -398,7 +407,12 @@ def mesh_patch_uv(
             )
             if not nbrs:
                 continue
-            target = np.mean([mesh.points[w] for w in nbrs], axis=0)
+            # the sequential sum np.mean(axis=0) makes, in floats
+            x, y = pts[nbrs[0]]
+            for w in nbrs[1:]:
+                x += pts[w][0]
+                y += pts[w][1]
+            target = (x / len(nbrs), y / len(nbrs))
             try:
                 metric.locator.locate(target)
             except MeshError:

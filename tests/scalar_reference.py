@@ -3,17 +3,19 @@
 `mesh_patch_uv` tests each flip with stacked metric angles, locates a
 smoothing target by scanning its cell in Python floats, clips with one
 vectorised winding-number evaluation and reads vertex boundary flags
-from a set.  The copies below do the same work one item at a time: a
-scalar angle per opposite vertex, a `locate_many` call per smoothed
-vertex, a winding-number loop per triangle and a boundary test that
-scans the vertex's edges.  The batched loop must make the same edits in
-the same order, so both give the same arrays.
+from a set; its `PlanarMesh` keeps points as Python floats.  The copies
+below do the same work one item at a time: a scalar angle per opposite
+vertex, a `locate_many` call per smoothed vertex, a winding-number loop
+per triangle, a boundary test that scans the vertex's edges, and a
+planar mesh with numpy points.  The batched loop must make the same
+edits in the same order, so both give the same arrays.
 """
 
 import numpy as np
 
+from atlasmesh import planar
 from atlasmesh.mesh import MeshError, signed_uv_areas
-from atlasmesh.planar import PlanarMesh, constrained_triangulation
+from atlasmesh.planar import _orient
 from atlasmesh.remesh import GAUSS, METRIC_LONG, METRIC_SHORT, FaceMetric
 
 
@@ -44,7 +46,187 @@ def scalar_winding_number(point, loops):
     return wn
 
 
-class EdgeScanMesh(PlanarMesh):
+class ReferencePlanarMesh:
+    """`planar.PlanarMesh` as it was, with numpy points and helper calls.
+
+    Deleted triangles are tombstoned with None; `compact()` returns clean
+    arrays.  Constrained edges (domain boundary) are never flipped,
+    split, or collapsed by the editing helpers.  `constrain` marks an
+    edge; `boundary` holds every vertex of a constrained edge.
+    """
+
+    def __init__(self, points, triangles):
+        self.points = [np.asarray(p, dtype=np.float64) for p in points]
+        self.tris: list = []
+        self.e2t: dict[tuple[int, int], list[int]] = {}
+        self.v2t: dict[int, set[int]] = {i: set() for i in range(len(self.points))}
+        self.constrained: set[tuple[int, int]] = set()
+        self.boundary: set[int] = set()
+        for t in triangles:
+            self._add_tri(tuple(int(v) for v in t))
+
+    # -- bookkeeping --------------------------------------------------------
+
+    @staticmethod
+    def _ekey(a, b):
+        return (a, b) if a < b else (b, a)
+
+    def _add_tri(self, tri):
+        tid = len(self.tris)
+        self.tris.append(tri)
+        for k in range(3):
+            key = self._ekey(tri[k], tri[(k + 1) % 3])
+            self.e2t.setdefault(key, []).append(tid)
+            self.v2t.setdefault(tri[k], set()).add(tid)
+        return tid
+
+    def _remove_tri(self, tid):
+        tri = self.tris[tid]
+        for k in range(3):
+            key = self._ekey(tri[k], tri[(k + 1) % 3])
+            self.e2t[key].remove(tid)
+            if not self.e2t[key]:
+                del self.e2t[key]
+            self.v2t[tri[k]].discard(tid)
+        self.tris[tid] = None
+
+    def add_point(self, p):
+        vid = len(self.points)
+        self.points.append(np.asarray(p, dtype=np.float64))
+        self.v2t[vid] = set()
+        return vid
+
+    def area(self, tid):
+        a, b, c = (self.points[v] for v in self.tris[tid])
+        return 0.5 * _orient(a, b, c)
+
+    def edges(self):
+        return list(self.e2t)
+
+    def constrain(self, a, b):
+        key = self._ekey(a, b)
+        self.constrained.add(key)
+        self.boundary.update(key)
+
+    def is_boundary_vertex(self, v):
+        return v in self.boundary
+
+    # -- local operations ---------------------------------------------------
+
+    def flip(self, edge, check=True):
+        """Replace edge (a,b) of quad acbd by (c,d).  False if invalid."""
+        if edge in self.constrained:
+            return False
+        tids = self.e2t.get(edge)
+        if tids is None or len(tids) != 2:
+            return False
+        a, b = edge
+        t0, t1 = tids
+        c = next(v for v in self.tris[t0] if v not in edge)
+        d = next(v for v in self.tris[t1] if v not in edge)
+        if c == d:
+            return False
+        # t0 must wind a->b; ensure consistent naming
+        tri0 = self.tris[t0]
+        if (tri0[0], tri0[1], tri0[2]) in (
+            (b, a, c), (a, c, b), (c, b, a)
+        ):
+            a, b = b, a
+        new0 = (a, d, c)
+        new1 = (d, b, c)
+        if check:
+            pa, pb, pc, pd = (self.points[v] for v in (a, b, c, d))
+            if _orient(pa, pd, pc) <= 0.0 or _orient(pd, pb, pc) <= 0.0:
+                return False
+        self._remove_tri(t0)
+        self._remove_tri(t1)
+        self._add_tri(new0)
+        self._add_tri(new1)
+        return True
+
+    def split_edge(self, edge, point=None):
+        """Insert a vertex on an edge, bisecting its adjacent triangles."""
+        tids = list(self.e2t.get(edge, ()))
+        if not tids:
+            return None
+        a, b = edge
+        if point is None:
+            point = 0.5 * (self.points[a] + self.points[b])
+        m = self.add_point(point)
+        was_constrained = edge in self.constrained
+        for tid in tids:
+            tri = self.tris[tid]
+            # rotate so the split edge is (x, y) in winding order
+            for k in range(3):
+                x, y, z = tri[k], tri[(k + 1) % 3], tri[(k + 2) % 3]
+                if {x, y} == {a, b}:
+                    break
+            self._remove_tri(tid)
+            self._add_tri((x, m, z))
+            self._add_tri((m, y, z))
+        if was_constrained:
+            self.constrained.discard(edge)
+            self.constrain(a, m)
+            self.constrain(m, b)
+        return m
+
+    def collapse(self, edge):
+        """Merge vertex a of (a,b) into b; a must be interior.  False if invalid."""
+        a, b = edge
+        if self.is_boundary_vertex(a):
+            if self.is_boundary_vertex(b):
+                return False
+            a, b = b, a
+        if self.is_boundary_vertex(a):
+            return False
+        ring = list(self.v2t[a])
+        pb = self.points[b]
+        for tid in ring:
+            tri = self.tris[tid]
+            if b in tri:
+                continue
+            pts = [pb if v == a else self.points[v] for v in tri]
+            if _orient(*pts) <= 0.0:
+                return False
+        for tid in ring:
+            tri = self.tris[tid]
+            self._remove_tri(tid)
+            if b in tri:
+                continue
+            self._add_tri(tuple(b if v == a else v for v in tri))
+        return True
+
+    def move_vertex(self, v, point):
+        """Relocate an interior vertex if all incident triangles stay positive."""
+        old = self.points[v]
+        self.points[v] = np.asarray(point, dtype=np.float64)
+        for tid in self.v2t[v]:
+            if self.area(tid) <= 0.0:
+                self.points[v] = old
+                return False
+        return True
+
+    def compact(self):
+        """(points (n,2), triangles (m,3)) without tombstones or orphans."""
+        live = [t for t in self.tris if t is not None]
+        used = sorted({v for t in live for v in t})
+        remap = {v: i for i, v in enumerate(used)}
+        pts = np.asarray([self.points[v] for v in used])
+        tris = np.asarray([[remap[v] for v in t] for t in live], dtype=np.int64)
+        return pts, tris, used
+
+
+def triangulate_with(cls, points, constraint_edges):
+    """`planar.constrained_triangulation` building a `cls` mesh."""
+    saved = planar.PlanarMesh
+    planar.PlanarMesh = cls
+    try:
+        return planar.constrained_triangulation(points, constraint_edges)
+    finally:
+        planar.PlanarMesh = saved
+
+
+class EdgeScanMesh(ReferencePlanarMesh):
     """A PlanarMesh whose boundary test scans the vertex's live edges."""
 
     def is_boundary_vertex(self, v):
@@ -85,8 +267,7 @@ def reference_mesh_patch_uv(patch, param, loops, h, passes=10):
         nn = len(loop_ids)
         constraints += [(start + k, start + (k + 1) % nn) for k in range(nn)]
         start += nn
-    mesh = constrained_triangulation(points, constraints)
-    mesh.__class__ = EdgeScanMesh
+    mesh = triangulate_with(EdgeScanMesh, points, constraints)
     scalar_clip(mesh, [uv for _, uv in loops])
     n_fixed = len(points)
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scalar_reference import scalar_winding_number
+from scalar_reference import ReferencePlanarMesh, scalar_winding_number, triangulate_with
 
 from atlasmesh.mesh import MeshError
 from atlasmesh.planar import (
@@ -189,8 +189,47 @@ def test_cdt_always_recovers_hull_edges(int_pts):
             v for v in range(len(mesh.points))
             if mesh.v2t.get(v) and point_on_segment(mesh.points[v], pa, pb, 1e-9)
         ]
-        on.sort(key=lambda v: float(np.linalg.norm(mesh.points[v] - pa)))
+        on.sort(key=lambda v: float(np.linalg.norm(np.subtract(mesh.points[v], pa))))
         assert on[0] == a and on[-1] == b and len(on) > 2
         for u, v in zip(on, on[1:]):
             k2 = (u, v) if u < v else (v, u)
             assert k2 in mesh.constrained
+
+
+def _collinear_polygon(rng, corners, per_side):
+    """Rotated convex polygon sampled along its sides: the samples of a side
+    are collinear up to rounding, so Delaunay leaves zero-area triangles."""
+    ang = np.sort(rng.uniform(0.0, 2.0 * np.pi, corners))
+    c = np.column_stack([np.cos(ang), np.sin(ang)])
+    t = np.arange(per_side)[:, None] / per_side
+    return np.concatenate([a + t * (b - a) for a, b in zip(c, np.roll(c, -1, axis=0))])
+
+
+@pytest.mark.parametrize("seed,corners,per_side", [(5, 4, 8), (7, 6, 10), (13, 5, 8), (25, 6, 10)])
+def test_edits_equal_the_reference_mesh(seed, corners, per_side):
+    rng = np.random.default_rng(seed)
+    loop = _collinear_polygon(rng, corners, per_side)
+    cons = [(k, (k + 1) % len(loop)) for k in range(len(loop))]
+    new = constrained_triangulation(loop, cons)
+    ref = triangulate_with(ReferencePlanarMesh, loop, cons)
+    live = [t for t, tri in enumerate(new.tris) if tri is not None]
+    assert min(abs(new.area(t)) for t in live) == 0.0
+
+    def state(mesh):
+        pts, tris, used = mesh.compact()
+        return pts, tris, used, set(mesh.edges())
+
+    for step in range(400):
+        edges = sorted(new.edges())
+        e = edges[rng.integers(len(edges))]
+        op = rng.choice(["split_edge", "collapse", "flip", "move_vertex"], p=[0.3, 0.25, 0.25, 0.2])
+        if op == "move_vertex":
+            v = e[rng.integers(2)]
+            args = (v, tuple(np.add(new.points[v], rng.normal(0.0, 0.05, 2)).tolist()))
+        else:
+            args = (e,)
+        assert getattr(new, op)(*args) == getattr(ref, op)(*args), (step, op)
+        got, want = state(new), state(ref)
+        for g, w in zip(got[:3], want[:3]):
+            assert np.array_equal(g, w), (step, op)
+        assert got[3] == want[3], (step, op)

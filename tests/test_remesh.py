@@ -326,6 +326,9 @@ ADAPT_CASES = [
     ("torus", torus, 0.3),
     ("cylinder", cylinder_shell, 0.3),
     ("plate", concave_hole_plate, 0.15),
+    ("torus12x6", lambda: torus(nu=12, nv=6), 0.6),
+    ("tube", cylinder_shell, 0.5),
+    ("disk1_fine", lambda: random_disk_fixture(1), 0.2),
 ] + [(f"disk{seed}", lambda seed=seed: random_disk_fixture(seed), 0.3) for seed in range(4)]
 
 
