@@ -12,11 +12,8 @@ from .param import ParamOptions, parametrize
 from .patch import Patch
 
 
-@dataclass
-class AtlasLimits:
-    max_triangles: int = 100_000
-    min_area_factor: float = 1e-12  # vs mean parametric triangle area
-    max_aspect: float = 1e6
+MIN_AREA_FACTOR = 1e-12  # smallest parametric area, vs the mean parametric area
+MAX_ASPECT = 1e6  # largest width ratio of the parametric bounding box
 
 
 @dataclass
@@ -101,33 +98,33 @@ def bisect_patch(patch: Patch):
     return patch.subpatch(ids0), patch.subpatch(ids1)
 
 
-def _trial_reason(patch: Patch, limits: AtlasLimits, options: ParamOptions):
+def _trial_reason(patch: Patch, options: ParamOptions):
     """None if the trial parametrization is acceptable, else a split reason."""
     param = parametrize(patch, options)
     if not param.injective:
         return "non-injective"
     areas = param.signed_areas
-    if areas.min() < limits.min_area_factor * (areas.sum() / len(areas)):
+    if areas.min() < MIN_AREA_FACTOR * (areas.sum() / len(areas)):
         return "degenerate-area"
     ext = param.uv.max(axis=0) - param.uv.min(axis=0)
-    if ext.min() <= 0.0 or ext.max() / ext.min() > limits.max_aspect:
+    if ext.min() <= 0.0 or ext.max() / ext.min() > MAX_ASPECT:
         return "aspect"
     return None
 
 
 def make_parametrizable(
     patch: Patch,
-    limits: AtlasLimits | None = None,
+    max_triangles=100_000,
     options: ParamOptions | None = None,
 ):
     """Split a patch until every part maps one-to-one onto the disk.
 
-    Checks run in order: topology (genus 0, at least one boundary), size,
-    then a trial parametrization whose parametric areas must stay away
-    from machine precision.  Returns (patches, split records); patches
-    are ordered by smallest contained model triangle id.
+    Checks run in order: topology (genus 0, at least one boundary), size
+    (at most `max_triangles`), then a trial parametrization with
+    `options` whose parametric areas must stay away from machine
+    precision.  Returns (patches, split records); patches are ordered by
+    smallest contained model triangle id.
     """
-    limits = limits or AtlasLimits()
     options = options or ParamOptions()
     done: list[Patch] = []
     records: list[SplitRecord] = []
@@ -138,10 +135,10 @@ def make_parametrizable(
         info, ok = p.topology()
         if not ok:
             reason = "genus"
-        elif p.n_triangles > limits.max_triangles:
+        elif p.n_triangles > max_triangles:
             reason = "size"
         else:
-            reason = _trial_reason(p, limits, options)
+            reason = _trial_reason(p, options)
         if reason is None:
             done.append(p)
             continue

@@ -27,17 +27,18 @@ def _add_common(p):
 
 
 def _add_atlas_flags(p):
-    p.add_argument("--angle", type=float, default=40.0,
+    d = PipelineOptions()
+    p.add_argument("--angle", type=float, default=d.angle_deg,
                    help="feature dihedral threshold in degrees; 180 disables")
-    p.add_argument("--scheme", choices=["mvc", "fem"], default="mvc")
+    p.add_argument("--scheme", choices=["mvc", "fem"], default=d.scheme)
     p.add_argument("--hole-policy", choices=["auto", "neumann", "fill"],
-                   default="auto")
-    p.add_argument("--hole-threshold", type=int, default=100)
-    p.add_argument("--max-triangles", type=int, default=100_000)
-    p.add_argument("--refine-threshold", default="auto",
+                   default=d.hole_policy)
+    p.add_argument("--hole-threshold", type=int, default=d.hole_threshold)
+    p.add_argument("--max-triangles", type=int, default=d.max_triangles)
+    p.add_argument("--refine-threshold", default=d.refine_threshold,
                    help="edge length, 'auto', or 'off'")
-    p.add_argument("--refine-rounds", type=int, default=10)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--refine-rounds", type=int, default=d.refine_rounds)
+    p.add_argument("--threads", type=int, default=d.threads)
 
 
 def build_parser():

@@ -17,9 +17,6 @@ class FeatureEdgeSet:
     angles: dict = field(default_factory=dict)  # edge -> degrees
     threshold_deg: float = 40.0
 
-    def __contains__(self, edge):
-        return edge in self.edges
-
 
 @dataclass
 class PatchSet:

@@ -96,6 +96,8 @@ def _load_obj(path):
             if not parts or parts[0].startswith("#"):
                 continue
             if parts[0] == "v":
+                if len(parts) < 4:
+                    raise MeshError(f"OBJ: bad vertex line: {line.strip()}")
                 verts.append([float(parts[1]), float(parts[2]), float(parts[3])])
             elif parts[0] == "f":
                 idx = [int(p.split("/")[0]) for p in parts[1:]]
@@ -110,6 +112,31 @@ def _load_obj(path):
 def _load_msh(path):
     with open(path, "r") as f:
         lines = f.read().splitlines()
+    try:
+        nodes, tri_blocks = _msh_blocks(lines)
+    except IndexError:
+        raise MeshError("msh: file ends inside a block") from None
+    if not nodes:
+        raise MeshError("msh: no nodes")
+    order = sorted(nodes)
+    remap = {t: k for k, t in enumerate(order)}
+    verts = np.asarray([nodes[t] for t in order], dtype=np.float64)
+    tris = []
+    tags = []
+    for tag, block in tri_blocks:
+        for t in block:
+            try:
+                tris.append([remap[v] for v in t])
+            except KeyError as exc:
+                raise MeshError(f"msh: element names unknown node {exc.args[0]}") from None
+            tags.append(tag)
+    if not tris:
+        raise MeshError("msh: no triangles")
+    return verts, np.asarray(tris, dtype=np.int64), np.asarray(tags, dtype=np.int64)
+
+
+def _msh_blocks(lines):
+    """(node tag -> xyz, [(surface tag, triangles as node tags)]) of msh lines."""
     i = 0
     nodes = {}
     tri_blocks = []  # (tag, triangles)
@@ -146,20 +173,7 @@ def _load_msh(path):
                 i += cnt
         else:
             i += 1
-    if not nodes:
-        raise MeshError("msh: no nodes")
-    order = sorted(nodes)
-    remap = {t: k for k, t in enumerate(order)}
-    verts = np.asarray([nodes[t] for t in order], dtype=np.float64)
-    tris = []
-    tags = []
-    for tag, block in tri_blocks:
-        for t in block:
-            tris.append([remap[v] for v in t])
-            tags.append(tag)
-    if not tris:
-        raise MeshError("msh: no triangles")
-    return verts, np.asarray(tris, dtype=np.int64), np.asarray(tags, dtype=np.int64)
+    return nodes, tri_blocks
 
 
 FORMATS = ("stl", "obj", "msh")
@@ -177,8 +191,12 @@ def load_surface(path, format=None, weld_tolerance=0.0) -> Triangulation:
     """Load a triangulated surface, welding duplicate vertices exactly.
 
     `format` is stl, obj or msh (the msh subset), by default the file
-    suffix; STL is read as binary or ASCII as the file says.
+    suffix; STL is read as binary or ASCII as the file says.  A positive
+    `weld_tolerance` also merges vertices at most that far apart; it must
+    be finite and non-negative.
     """
+    if not 0.0 <= weld_tolerance < np.inf:
+        raise MeshError(f"weld tolerance must be finite and non-negative, got {weld_tolerance}")
     fmt = _format(path, format)
     if fmt == "stl":
         raw = _load_stl_binary(path) if _stl_is_binary(path) else _load_stl_ascii(path)

@@ -64,14 +64,13 @@ class Triangulation:
         """(m, 3, 3) corner coordinates."""
         return self.vertices[self.triangles]
 
-    def triangle_normals(self, normalize=True):
+    def triangle_normals(self):
+        """(m, 3) unit normals; a zero-area triangle's normal is 0."""
         p = self.triangle_corners()
         n = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
-        if normalize:
-            lens = np.linalg.norm(n, axis=1)
-            lens[lens == 0.0] = 1.0
-            n = n / lens[:, None]
-        return n
+        lens = np.linalg.norm(n, axis=1)
+        lens[lens == 0.0] = 1.0
+        return n / lens[:, None]
 
     def triangle_areas(self):
         p = self.triangle_corners()

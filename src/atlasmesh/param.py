@@ -90,24 +90,13 @@ def scheme_weight_matrix(vertices, triangles, scheme="mvc"):
 
 
 @dataclass
-class SchemeWeights:
-    """Assembled per-edge coefficients plus hole-filling metadata."""
-
-    W: sp.csr_matrix
-    scheme: str
-    filled_holes: list = field(default_factory=list)  # loop indices with centers
-    center_ids: dict = field(default_factory=dict)  # loop index -> unknown column
-
-
-@dataclass
 class AssembledSystem:
     A: sp.csc_matrix
     rhs: np.ndarray  # (n_unknowns, 2)
     unknown_of_vertex: np.ndarray  # local vertex -> unknown index or -1
     boundary_uv: dict  # dirichlet local vertex -> (u, v)
-    weights: SchemeWeights
     outer_loop: int
-    n_centers: int
+    center_ids: dict  # filled hole loop index -> its pseudo-center's unknown
 
 
 @dataclass
@@ -136,13 +125,12 @@ def select_outer_loop(patch: Patch):
     return int(np.argmax(perims))
 
 
-def apply_boundary(patch: Patch, outer_loop=None):
+def apply_boundary(patch: Patch):
     """Pin the outer loop to the unit circle by cumulative 3D arc length.
 
     Returns (outer loop index, dict local vertex -> (u, v)).
     """
-    if outer_loop is None:
-        outer_loop = select_outer_loop(patch)
+    outer_loop = select_outer_loop(patch)
     loop = patch.loops[outer_loop]
     if len(loop) < 3:
         raise MeshError("outer loop shorter than 3 vertices")
@@ -179,7 +167,6 @@ def assemble_system(
     scheme="mvc",
     hole_policy="auto",
     hole_threshold=100,
-    outer_loop=None,
 ) -> AssembledSystem:
     """Build the sparse linear system for both disk coordinates.
 
@@ -191,10 +178,9 @@ def assemble_system(
 
     if hole_policy not in ("auto", "neumann", "fill"):
         raise MeshError(f"unknown hole policy: {hole_policy}")
-    outer_loop, boundary_uv = apply_boundary(patch, outer_loop)
+    outer_loop, boundary_uv = apply_boundary(patch)
     n = patch.tri.n_vertices
     W = scheme_weight_matrix(patch.tri.vertices, patch.tri.triangles, scheme)
-    weights = SchemeWeights(W=W, scheme=scheme)
 
     hole_loops = [k for k in range(len(patch.loops)) if k != outer_loop]
     fill = []
@@ -202,15 +188,12 @@ def assemble_system(
         for k in hole_loops:
             if hole_policy == "fill" or len(patch.loops[k]) <= hole_threshold:
                 fill.append(k)
-    weights.filled_holes = fill
 
     unknown = np.full(n, -1, dtype=np.int64)
     free = np.setdiff1d(np.arange(n), np.fromiter(boundary_uv, dtype=np.int64, count=len(boundary_uv)))
     unknown[free] = np.arange(len(free))
-    n_centers = len(fill)
-    for c, k in enumerate(fill):
-        weights.center_ids[k] = len(free) + c
-    m = len(free) + n_centers
+    center_ids = {k: len(free) + c for c, k in enumerate(fill)}
+    m = len(free) + len(fill)
 
     # W part, in W's COO order: each weight of a free row gives a diagonal
     # triplet, followed by its off-diagonal twin when the neighbour is free;
@@ -251,7 +234,7 @@ def assemble_system(
             w_ring = 0.5 / np.tan(alpha)
         vj, vj1 = loop, np.roll(loop, -1)
         uj, uj1 = unknown[vj], unknown[vj1]
-        cid = np.full(len(loop), weights.center_ids[k])
+        cid = np.full(len(loop), center_ids[k])
         row = np.column_stack([cid, cid, uj, uj, uj1, uj1])
         col = np.column_stack([uj, uj1, cid, uj1, cid, uj])
         vert = np.column_stack([vj, vj1, vj, vj1, vj1, vj])
@@ -274,9 +257,8 @@ def assemble_system(
         rhs=rhs,
         unknown_of_vertex=unknown,
         boundary_uv=boundary_uv,
-        weights=weights,
         outer_loop=outer_loop,
-        n_centers=n_centers,
+        center_ids=center_ids,
     )
 
 
@@ -311,7 +293,7 @@ def solve(patch: Patch, system: AssembledSystem) -> Parametrization:
         residual=float(res),
         outer_loop=system.outer_loop,
     )
-    for k, cid in system.weights.center_ids.items():
+    for k, cid in system.center_ids.items():
         param.center_uv[k] = tuple(x[cid])
     if res > RESIDUAL_TOL:
         logger.warning("parametrization residual %.3e exceeds tolerance", res)

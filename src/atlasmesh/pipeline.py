@@ -8,7 +8,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .atlas import AtlasLimits, BRep, build_brep, make_parametrizable
+from .atlas import BRep, build_brep, make_parametrizable
 from .features import detect_feature_edges, segment_patches
 from .mesh import Adjacency, MeshError, Triangulation, validate
 from .param import ParamOptions, parametrize
@@ -19,12 +19,11 @@ from .remesh import discretize_curve, map_to_3d, mesh_patch_uv, stitch
 
 
 @dataclass
-class PipelineOptions:
+class PipelineOptions(ParamOptions):
+    """Every setting of a run: the flattening options, plus these."""
+
     angle_deg: float = 40.0
     size: float | None = None
-    scheme: str = "mvc"
-    hole_policy: str = "auto"
-    hole_threshold: int = 100
     max_triangles: int = 100_000
     refine_threshold: float | str | None = "auto"  # None disables refinement
     refine_rounds: int = 10
@@ -40,14 +39,6 @@ class AtlasResult:
     summary: dict = field(default_factory=dict)
 
 
-def _param_options(opt: PipelineOptions):
-    return ParamOptions(
-        scheme=opt.scheme,
-        hole_policy=opt.hole_policy,
-        hole_threshold=opt.hole_threshold,
-    )
-
-
 def build_atlas(model: Triangulation, opt: PipelineOptions | None = None) -> AtlasResult:
     """Segment, split until parametrizable, refine, parametrize, build BREP."""
     opt = opt or PipelineOptions()
@@ -61,14 +52,12 @@ def build_atlas(model: Triangulation, opt: PipelineOptions | None = None) -> Atl
         )
     features = detect_feature_edges(model, adj, opt.angle_deg)
     segmentation = segment_patches(model, adj, features)
-    limits = AtlasLimits(max_triangles=opt.max_triangles)
-    popt = _param_options(opt)
 
     patches = []
     split_records = []
     for pid in range(segmentation.n_patches):
         seed = Patch(model, segmentation.triangles_of(pid))
-        parts, records = make_parametrizable(seed, limits, popt)
+        parts, records = make_parametrizable(seed, opt.max_triangles, opt)
         patches.extend(parts)
         split_records.extend(records)
     patches.sort(key=lambda p: int(p.triangle_ids.min()))
@@ -86,7 +75,7 @@ def build_atlas(model: Triangulation, opt: PipelineOptions | None = None) -> Atl
                 p, length_threshold=thr, max_rounds=opt.refine_rounds,
                 split_boundary=False,
             )
-        return p, parametrize(p, popt), report
+        return p, parametrize(p, opt), report
 
     results = _run_parallel(prepare, range(len(brep.faces)), opt.threads)
     refined = [r[0] for r in results]

@@ -34,6 +34,7 @@ def point_on_segment(p, a, b, tol):
 
 
 BLOCK = 1 << 16  # (point, edge) pairs evaluated at once by winding_numbers
+ON_SEGMENT_TOL = 1e-12  # relative to the largest coordinate; see constrained_triangulation
 
 
 def winding_numbers(points, loops):
@@ -57,11 +58,6 @@ def winding_numbers(points, loops):
             down = (a[:, 1] > y) & (b[:, 1] <= y) & (o < 0.0)
             wn[lo:lo + step] += up.sum(axis=1) - down.sum(axis=1)
     return wn
-
-
-def winding_number(point, loops):
-    """Total winding of `loops` (lists of 2D points) around `point`."""
-    return int(winding_numbers([point], loops)[0])
 
 
 class PlanarMesh:
@@ -128,12 +124,6 @@ class PlanarMesh:
         v2t[c].discard(tid)
         self.tris[tid] = None
 
-    def add_point(self, p):
-        vid = len(self.points)
-        self.points.append((float(p[0]), float(p[1])))
-        self.v2t[vid] = set()
-        return vid
-
     def area(self, tid):
         a, b, c = self.tris[tid]
         return 0.5 * _orient(self.points[a], self.points[b], self.points[c])
@@ -146,12 +136,9 @@ class PlanarMesh:
         self.constrained.add(key)
         self.boundary.update(key)
 
-    def is_boundary_vertex(self, v):
-        return v in self.boundary
-
     # -- local operations ---------------------------------------------------
 
-    def flip(self, edge, check=True):
+    def flip(self, edge):
         """Replace edge (a,b) of quad acbd by (c,d).  False if invalid."""
         if edge in self.constrained:
             return False
@@ -170,28 +157,25 @@ class PlanarMesh:
             (b, a, c), (a, c, b), (c, b, a)
         ):
             a, b = b, a
-        new0 = (a, d, c)
-        new1 = (d, b, c)
-        if check:
-            pa, pb, pc, pd = (self.points[v] for v in (a, b, c, d))
-            if _orient(pa, pd, pc) <= 0.0 or _orient(pd, pb, pc) <= 0.0:
-                return False
+        pa, pb, pc, pd = (self.points[v] for v in (a, b, c, d))
+        if _orient(pa, pd, pc) <= 0.0 or _orient(pd, pb, pc) <= 0.0:
+            return False
         self._remove_tri(t0)
         self._remove_tri(t1)
-        self._add_tri(new0)
-        self._add_tri(new1)
+        self._add_tri((a, d, c))
+        self._add_tri((d, b, c))
         return True
 
-    def split_edge(self, edge, point=None):
-        """Insert a vertex on an edge, bisecting its adjacent triangles."""
+    def split_edge(self, edge):
+        """Insert the midpoint of an edge, bisecting its adjacent triangles."""
         tids = list(self.e2t.get(edge, ()))
         if not tids:
             return None
         a, b = edge
-        if point is None:
-            (ax, ay), (bx, by) = self.points[a], self.points[b]
-            point = (0.5 * (ax + bx), 0.5 * (ay + by))
-        m = self.add_point(point)
+        (ax, ay), (bx, by) = self.points[a], self.points[b]
+        m = len(self.points)
+        self.points.append((0.5 * (ax + bx), 0.5 * (ay + by)))
+        self.v2t[m] = set()
         was_constrained = edge in self.constrained
         for tid in tids:
             tri = self.tris[tid]
@@ -212,12 +196,10 @@ class PlanarMesh:
     def collapse(self, edge):
         """Merge vertex a of (a,b) into b; a must be interior.  False if invalid."""
         a, b = edge
-        if self.is_boundary_vertex(a):
-            if self.is_boundary_vertex(b):
+        if a in self.boundary:
+            if b in self.boundary:
                 return False
             a, b = b, a
-        if self.is_boundary_vertex(a):
-            return False
         ring = list(self.v2t[a])
         pb = self.points[b]
         for tid in ring:
@@ -255,13 +237,13 @@ class PlanarMesh:
         return pts, tris, used
 
 
-def constrained_triangulation(points, constraint_edges, tol=1e-12):
+def constrained_triangulation(points, constraint_edges):
     """Delaunay triangulation honouring the given edges.
 
     Missing constraints are recovered by flipping crossing edges.  A
-    vertex lying exactly on a constraint splits it in two sub-constraints
-    (the polyline geometry is unchanged).  Returns a PlanarMesh with the
-    recovered edges marked constrained.
+    vertex within ON_SEGMENT_TOL of a constraint splits it in two
+    sub-constraints (the polyline geometry is unchanged).  Returns a
+    PlanarMesh with the recovered edges marked constrained.
     """
     from scipy.spatial import Delaunay
 
@@ -276,7 +258,7 @@ def constrained_triangulation(points, constraint_edges, tol=1e-12):
     tris[cw] = tris[cw][:, [0, 2, 1]]
     mesh = PlanarMesh(pts, tris)
     scale = float(np.abs(pts).max()) or 1.0
-    eps = tol * scale
+    eps = ON_SEGMENT_TOL * scale
 
     queue = [tuple(sorted((int(a), int(b)))) for a, b in constraint_edges]
     guard = 0

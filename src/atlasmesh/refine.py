@@ -56,16 +56,14 @@ def longest_edge_bisection(
     length_threshold=None,
     max_rounds=10,
     split_boundary=True,
-    protected_edges=None,
 ):
     """Split long edges, longest first, until interior edges fit the threshold.
 
     Each round tags the currently long edges, sorts them by length
     descending and splits them in that order; both triangles adjacent to
-    a split edge are bisected so no hanging nodes appear.  Edges listed
-    in `protected_edges` (local sorted vertex pairs, e.g. curves shared
-    with an already meshed neighbour) are never split.  The patch must be
-    edge-manifold.
+    a split edge are bisected so no hanging nodes appear.  With
+    split_boundary=False boundary edges are never split.  The patch must
+    be edge-manifold.
 
     Returns (refined Patch, RefineReport).
     """
@@ -86,21 +84,13 @@ def longest_edge_bisection(
     verts = patch.tri.vertices
     tris = [tuple(t) for t in patch.tri.triangles.tolist()]
     ekeys = adj.edges[:, 0] * N + adj.edges[:, 1]
-    keys = ekeys.tolist()
     em = {
         k: [s] if t < 0 else [s, t]
-        for k, (s, t) in zip(keys, adj.edge_tri.tolist())
+        for k, (s, t) in zip(ekeys.tolist(), adj.edge_tri.tolist())
     }
     lengths = _lengths(verts, adj.edges[:, 0], adj.edges[:, 1])
     interior = adj.edge_count == 2
     live = np.ones(len(ekeys), dtype=bool)
-    protected = {u * N + v for u, v in protected_edges or ()}
-
-    def fixed(new_keys, new_interior):
-        out = np.array([k in protected for k in new_keys], dtype=bool)
-        return out | ~new_interior if not split_boundary else out
-
-    frozen = fixed(keys, interior)
 
     def split(edge, m, fresh):
         # triangle (x, y, z) over the split edge (x, y) becomes (x, m, z)
@@ -130,7 +120,8 @@ def longest_edge_bisection(
             fresh.append(z * N + m)
 
     def long_edges():
-        return live & ~frozen & (lengths > length_threshold)
+        long = live & (lengths > length_threshold)
+        return long if split_boundary else long & interior
 
     n_splits = 0
     rounds = 0
@@ -152,12 +143,10 @@ def longest_edge_bisection(
         verts = np.concatenate([verts, mid])
         live[tagged] = False
         new = np.asarray(fresh, dtype=np.int64)
-        new_interior = np.array([len(em[k]) == 2 for k in fresh], dtype=bool)
         ekeys = np.concatenate([ekeys, new])
         lengths = np.concatenate([lengths, _lengths(verts, *np.divmod(new, N))])
-        interior = np.concatenate([interior, new_interior])
+        interior = np.concatenate([interior, np.array([len(em[k]) == 2 for k in fresh], bool)])
         live = np.concatenate([live, np.ones(len(new), dtype=bool)])
-        frozen = np.concatenate([frozen, fixed(fresh, new_interior)])
     else:
         converged = not long_edges().any()
 

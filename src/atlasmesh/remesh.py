@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import MeshError, Triangulation, first_occurrence, signed_uv_areas
-from .planar import PlanarMesh, clip_to_loops, constrained_triangulation
+from .planar import clip_to_loops, constrained_triangulation
 from .quality import metric_tensor, triangle_jacobian
 
 METRIC_LONG = 1.4
@@ -39,21 +39,23 @@ class UVLocator:
     box on each axis, so the triangle is listed in q's own cell.  A query
     therefore scans its own cell only; a query whose cell holds no
     triangle with margin >= -tol (a point outside the domain) scans every
-    triangle.  `locate` scans one point's cell in Python floats with the
-    same expressions as `locate_many`, so both give the same answer.
+    non-degenerate triangle.  `locate` scans one point's cell in Python
+    floats with the same expressions as `locate_many`, so both give the
+    same answer.
     """
 
     BLOCK = 1 << 12  # (query, triangle) pairs evaluated at once: bounds the temporaries
+    tol = 1e-9
 
-    def __init__(self, uv, triangles, tol=1e-9):
+    def __init__(self, uv, triangles):
         self.uv = np.asarray(uv, dtype=np.float64)
         self.tris = np.asarray(triangles, dtype=np.int64)
-        self.tol = tol
         p = self.uv[self.tris]
         e1 = p[:, 1] - p[:, 0]
         e2 = p[:, 2] - p[:, 0]
         d = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
         self._degenerate = d == 0.0
+        self._valid = np.flatnonzero(~self._degenerate)
         # rows: corner 0 (x, y), edge 1 (x, y), edge 2 (x, y), determinant
         self._coef = np.vstack([p[:, 0].T, e1.T, e2.T, np.where(self._degenerate, 1.0, d)])
         m = len(self.tris)
@@ -65,7 +67,7 @@ class UVLocator:
         cen = p.mean(axis=1)
         self._walls = np.sort(cen, axis=0)[np.arange(1, ncell) * m // ncell].T
         self._wall_lists = self._walls.tolist()
-        pad = (2.0 * tol + 1e-6) * ext  # the 1e-6 covers rounding in the margins
+        pad = (2.0 * self.tol + 1e-6) * ext  # the 1e-6 covers rounding in the margins
         clo = self._cell_ij(p.min(axis=1) - pad)
         chi = self._cell_ij(p.max(axis=1) + pad)
         span = chi - clo + 1
@@ -96,25 +98,6 @@ class UVLocator:
         w1 = (rx * e2y - ry * e2x) / d
         w2 = (e1x * ry - e1y * rx) / d
         return 1.0 - w1 - w2, w1, w2
-
-    def _scan(self, Q):
-        """(t, margin, weights) of (n, 2) points over every triangle."""
-        n, m = len(Q), len(self.tris)
-        t = np.empty(n, dtype=np.int64)
-        top = np.empty(n)
-        w = np.empty((n, 3))
-        step = max(1, self.BLOCK // max(m, 1))
-        for lo in range(0, n, step):
-            q = Q[lo:lo + step, :, None]
-            w0, w1, w2 = self._weights(q[:, 0], q[:, 1], *self._coef)
-            margin = np.minimum(np.minimum(w0, w1), w2)
-            margin[:, self._degenerate] = -np.inf
-            k = np.argmax(margin, axis=1)  # the first maximum
-            r = np.arange(len(k))
-            t[lo:lo + step] = k
-            top[lo:lo + step] = margin[r, k]
-            w[lo:lo + step] = np.column_stack([w0[r, k], w1[r, k], w2[r, k]])
-        return t, top, w
 
     def _best(self, Q, lists, start, cnt):
         """Per query q, the best triangle of lists[start[q]:start[q] + cnt[q]].
@@ -164,7 +147,10 @@ class UVLocator:
         t, top, w = self._best(Q, self._cell_tris, start, self._cell_start[cell + 1] - start)
         far = np.flatnonzero(top < -self.tol)
         if far.size:
-            t[far], top[far], w[far] = self._scan(Q[far])
+            t[far], top[far], w[far] = self._best(
+                Q[far], self._valid, np.zeros(far.size, dtype=np.int64),
+                np.full(far.size, self._valid.size),
+            )
         ok = (top >= -self.tol) | (clamp & (t >= 0))
         if not ok.all():
             i = int(np.argmin(ok))
@@ -187,7 +173,7 @@ class UVLocator:
             margin = min(weights)
             if margin > top:  # the first maximum
                 t, top, w = k, margin, weights
-        if top < -self.tol:  # outside the domain: locate_many scans every triangle
+        if top < -self.tol:  # outside the domain: locate_many scans every non-degenerate triangle
             t, w = self.locate_many(q, clamp)
             return int(t[0]), w[0]
         w = np.clip(w, 0.0, None)

@@ -77,24 +77,26 @@ def build_square_mesh(kind, n, seed=1) -> Triangulation:
     raise MeshError(f"unknown mesh kind: {kind}")
 
 
-def boundary_vertices(mesh: Triangulation, adj: Adjacency | None = None):
-    adj = adj or Adjacency(mesh)
-    out = set()
-    for a, b in adj.boundary_edges:
-        out.add(a)
-        out.add(b)
-    return np.asarray(sorted(out), dtype=np.int64)
+def boundary_vertices(mesh: Triangulation):
+    """Sorted ids of the vertices on boundary edges."""
+    adj = Adjacency(mesh)
+    return np.unique(adj.edges[adj.edge_count == 1])
+
+
+def _scheme_operator(mesh: Triangulation, scheme):
+    """The scheme's operator diag(rowsum W) - W, as a CSR matrix."""
+    import scipy.sparse as sp
+
+    W = scheme_weight_matrix(mesh.vertices, mesh.triangles, scheme)
+    return (sp.diags(np.asarray(W.sum(axis=1)).ravel()) - W).tocsr()
 
 
 def solve_laplace(mesh: Triangulation, scheme) -> np.ndarray:
     """Nodal field with manufactured Dirichlet data on the whole boundary."""
-    import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
-    W = scheme_weight_matrix(mesh.vertices, mesh.triangles, scheme)
     n = mesh.n_vertices
-    L = sp.diags(np.asarray(W.sum(axis=1)).ravel()) - W
-    L = L.tocsr()
+    L = _scheme_operator(mesh, scheme)
     bnd = boundary_vertices(mesh)
     g = manufactured_solution(mesh.vertices[bnd, 0], mesh.vertices[bnd, 1])
     mask = np.ones(n, dtype=bool)
@@ -111,11 +113,7 @@ def solve_laplace(mesh: Triangulation, scheme) -> np.ndarray:
 
 def scheme_residual(mesh: Triangulation, scheme, field):
     """Interior-row residuals of the assembled scheme for a given field."""
-    import scipy.sparse as sp
-
-    W = scheme_weight_matrix(mesh.vertices, mesh.triangles, scheme)
-    L = sp.diags(np.asarray(W.sum(axis=1)).ravel()) - W
-    r = L @ field
+    r = _scheme_operator(mesh, scheme) @ field
     bnd = boundary_vertices(mesh)
     r[bnd] = 0.0
     return r

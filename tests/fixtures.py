@@ -9,7 +9,7 @@ import numpy as np
 
 import atlasmesh
 from atlasmesh.mesh import Triangulation
-from atlasmesh.planar import clip_to_loops, constrained_triangulation, winding_number
+from atlasmesh.planar import clip_to_loops, constrained_triangulation, winding_numbers
 
 
 def cube(size=1.0):
@@ -145,7 +145,7 @@ def planar_fixture(outer, holes=(), spacing=None, z=None):
         for x in xs:
             for y in ys:
                 p = np.array([x, y])
-                if winding_number(p, loops_xy) != 0:
+                if winding_numbers(p, loops_xy)[0] != 0:
                     # keep clear of the boundary so constraints survive
                     d = min(
                         _dist_to_loop(p, loop) for loop in loops_xy

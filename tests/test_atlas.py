@@ -3,7 +3,7 @@ import pytest
 
 from fixtures import concave_hole_plate, cube, cylinder_shell, sphere, torus
 
-from atlasmesh.atlas import AtlasLimits, bisect_patch, build_brep, make_parametrizable
+from atlasmesh.atlas import bisect_patch, build_brep, make_parametrizable
 from atlasmesh.mesh import MeshError
 from atlasmesh.param import ParamOptions
 from atlasmesh.patch import Patch
@@ -27,7 +27,7 @@ def test_bisect_balanced_and_connected():
 
 def test_sphere_splits_into_disks():
     patch = _full_patch(sphere(2))
-    parts, records = make_parametrizable(patch, AtlasLimits(), ParamOptions())
+    parts, records = make_parametrizable(patch, options=ParamOptions())
     assert len(parts) >= 2
     assert any(r.reason == "genus" for r in records)
     for part in parts:
@@ -37,7 +37,7 @@ def test_sphere_splits_into_disks():
 
 def test_torus_splits_until_genus_zero():
     patch = _full_patch(torus())
-    parts, _ = make_parametrizable(patch, AtlasLimits(), ParamOptions())
+    parts, _ = make_parametrizable(patch, options=ParamOptions())
     for part in parts:
         info, ok = part.topology()
         assert ok and info.g == 0
@@ -46,8 +46,7 @@ def test_torus_splits_until_genus_zero():
 def test_size_limit_forces_split():
     mesh = cylinder_shell(n=16, rows=4)
     patch = _full_patch(mesh)
-    limits = AtlasLimits(max_triangles=patch.n_triangles // 2)
-    parts, records = make_parametrizable(patch, limits, ParamOptions())
+    parts, records = make_parametrizable(patch, max_triangles=patch.n_triangles // 2)
     assert len(parts) >= 2
     assert any(r.reason == "size" for r in records)
     assert sum(p.n_triangles for p in parts) == patch.n_triangles
@@ -56,7 +55,7 @@ def test_size_limit_forces_split():
 def test_disk_patch_untouched():
     mesh = concave_hole_plate()
     patch = _full_patch(mesh)
-    parts, records = make_parametrizable(patch, AtlasLimits(), ParamOptions())
+    parts, records = make_parametrizable(patch, options=ParamOptions())
     assert len(parts) == 1
     assert records == []
 
@@ -109,7 +108,7 @@ def test_single_triangle_failure_raises():
     patch = _full_patch(Triangulation(v, [[0, 1, 2]]))
     # a lone triangle is already a disk; force an impossible size limit
     with pytest.raises(MeshError):
-        make_parametrizable(patch, AtlasLimits(max_triangles=0), ParamOptions())
+        make_parametrizable(patch, max_triangles=0)
 
 
 def test_build_brep_corner_points_on_cube():

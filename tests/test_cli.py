@@ -1,13 +1,16 @@
+import argparse
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fixtures import cube, cylinder_shell, package_env
 
-from atlasmesh.cli import main
+from atlasmesh.cli import build_parser, main
 from atlasmesh.io import load_surface, write_mesh
 from atlasmesh.mesh import MeshError
 
@@ -48,6 +51,75 @@ def test_info_missing_file_gives_json_error(tmp_path, capsys):
     assert rc == 1
     err = json.loads(capsys.readouterr().err)
     assert "message" in err and "error" in err
+
+
+def _mesh_error(capsys, argv):
+    """The message of the MeshError that `atlasmesh argv` reports as JSON."""
+    assert main(argv) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "MeshError"
+    return err["message"]
+
+
+def _truncated_msh(path):
+    write_mesh(cube(), path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[: lines.index("$Nodes") + 5]) + "\n")
+
+
+MSH_UNKNOWN_NODE = """$MeshFormat
+4.1 0 8
+$EndMeshFormat
+$Nodes
+1 3 1 3
+2 1 0 3
+1
+2
+3
+0 0 0
+1 0 0
+0 1 0
+$EndNodes
+$Elements
+1 1 1 1
+2 0 2 1
+1 1 2 9
+$EndElements
+"""
+
+
+@pytest.mark.parametrize("name,write,message", [
+    ("short_vertex.obj", lambda p: p.write_text("v 0 0 0\nv 1 0\nv 0 1 0\nf 1 2 3\n"),
+     "bad vertex line"),
+    ("unknown_node.msh", lambda p: p.write_text(MSH_UNKNOWN_NODE), "unknown node 9"),
+    ("truncated_nodes.msh", _truncated_msh, "file ends inside a block"),
+], ids=["obj_short_vertex", "msh_unknown_node", "msh_truncated_nodes"])
+def test_malformed_input_gives_json_mesh_error(tmp_path, capsys, name, write, message):
+    path = tmp_path / name
+    write(path)
+    assert message in _mesh_error(capsys, ["info", str(path)])
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+def test_info_rejects_bad_weld_tolerance(cube_file, capsys, tol):
+    message = _mesh_error(capsys, ["info", str(cube_file), "--weld-tolerance", tol])
+    assert "weld tolerance must be finite and non-negative" in message
+    with pytest.raises(MeshError, match="weld tolerance"):
+        load_surface(cube_file, weld_tolerance=float(tol))
+
+
+def test_readme_names_every_flag():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {
+        flag
+        for parser in sub.choices.values()
+        for action in parser._actions if not isinstance(action, argparse._HelpAction)
+        for flag in action.option_strings
+    }
+    assert len(flags) > 15
+    named = {f for f in flags if re.search(rf"(?<![\w-]){re.escape(f)}(?![\w-])", readme)}
+    assert sorted(flags - named) == []
 
 
 def test_atlas_writes_mesh_and_summary(cube_file, tmp_path):

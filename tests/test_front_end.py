@@ -191,11 +191,10 @@ def ref_default_threshold(patch):
 
 
 def ref_bisection(patch, length_threshold=None, max_rounds=10,
-                  split_boundary=True, protected_edges=None):
+                  split_boundary=True):
     """Returns (vertices, triangles, global ids, (rounds, splits, max, converged))."""
     if length_threshold is None:
         length_threshold = ref_default_threshold(patch)
-    protected = set(protected_edges or ())
     verts = [tuple(v) for v in patch.tri.vertices]
     tris = [tuple(int(v) for v in t) for t in patch.tri.triangles]
     em = _edge_map(tris)
@@ -207,8 +206,6 @@ def ref_bisection(patch, length_threshold=None, max_rounds=10,
                              + (pa[2] - pb[2]) ** 2))
 
     def splittable(edge):
-        if edge in protected:
-            return False
         return split_boundary or len(em[edge]) != 1
 
     def split(edge):
@@ -427,16 +424,3 @@ def test_bisection_equals_dict_code(build, split_boundary):
         assert np.array_equal(refined.tri.triangles, t)
         assert np.array_equal(refined.global_vertices, g)
         assert (rep.rounds, rep.splits, rep.max_interior_edge, rep.converged) == report
-
-
-def test_bisection_with_protected_edges_equals_dict_code():
-    patch = Patch(concave_hole_plate(), np.arange(concave_hole_plate().n_triangles))
-    loop = patch.loops[0]
-    protected = {tuple(sorted((loop[k], loop[(k + 1) % len(loop)])))
-                 for k in range(len(loop))}
-    thr = 0.4 * ref_default_threshold(patch)
-    refined, rep = longest_edge_bisection(patch, thr, 4, protected_edges=protected)
-    v, t, g, report = ref_bisection(patch, thr, 4, protected_edges=protected)
-    assert np.array_equal(_bits(refined.tri.vertices), _bits(v))
-    assert np.array_equal(refined.tri.triangles, t)
-    assert (rep.rounds, rep.splits, rep.max_interior_edge, rep.converged) == report

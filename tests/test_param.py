@@ -211,7 +211,7 @@ def test_hole_fill_adds_center_unknown():
     m = concave_hole_plate()
     patch = Patch(m, np.arange(m.n_triangles))
     system = assemble_system(patch, hole_policy="fill")
-    assert system.n_centers == 1
+    assert len(system.center_ids) == 1
     param = solve(patch, system)
     assert param.injective
     (cuv,) = param.center_uv.values()
@@ -222,9 +222,9 @@ def test_hole_policy_auto_threshold():
     m = concave_hole_plate()
     patch = Patch(m, np.arange(m.n_triangles))
     filled = assemble_system(patch, hole_policy="auto", hole_threshold=100)
-    assert filled.n_centers == 1
+    assert len(filled.center_ids) == 1
     left = assemble_system(patch, hole_policy="auto", hole_threshold=2)
-    assert left.n_centers == 0
+    assert len(left.center_ids) == 0
 
 
 def test_unknown_hole_policy():

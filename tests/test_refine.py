@@ -3,22 +3,13 @@ import pytest
 
 from fixtures import cylinder_shell, random_disk_fixture
 
-from atlasmesh.mesh import Adjacency, MeshError, validate
+from atlasmesh.mesh import MeshError, validate
 from atlasmesh.patch import Patch
 from atlasmesh.refine import default_threshold, longest_edge_bisection
 
 
 def _full_patch(mesh):
     return Patch(mesh, np.arange(mesh.n_triangles))
-
-
-def _edge_lengths(patch):
-    adj = Adjacency(patch.tri)
-    v = patch.tri.vertices
-    return {
-        (a, b): float(np.linalg.norm(v[a] - v[b]))
-        for a, b in adj.edges.tolist()
-    }
 
 
 def test_area_preserved_exactly():
@@ -62,22 +53,6 @@ def test_split_boundary_false_keeps_boundary_vertices():
     # original vertices keep their global back-references
     kept = refined.global_vertices[refined.global_vertices >= 0]
     assert set(kept) == set(patch.global_vertices)
-
-
-def test_protected_edges_survive():
-    patch = _full_patch(cylinder_shell())
-    protected = set()
-    for loop in patch.loops:
-        for k in range(len(loop)):
-            a, b = loop[k], loop[(k + 1) % len(loop)]
-            protected.add((a, b) if a < b else (b, a))
-    refined, _ = longest_edge_bisection(
-        patch, max_rounds=5, protected_edges=protected
-    )
-    lengths = _edge_lengths(refined)
-    for e in protected:
-        # protected edges still exist at full length
-        assert e in lengths
 
 
 def test_midpoints_have_no_global_id():

@@ -26,6 +26,7 @@ from atlasmesh.remesh import (
     metric_angles,
     stitch,
 )
+from atlasmesh.verify import build_square_mesh
 
 
 def test_size_field_validation(monkeypatch):
@@ -186,10 +187,16 @@ def _reference(ref, Q, clamp):
 
 @pytest.mark.parametrize("clamp", [False, True])
 def test_locate_many_equals_point_locator(uv_faces, clamp):
-    for k, (name, patch, param) in enumerate(uv_faces):
-        ref = PointLocator(param.uv, patch.tri.triangles)
-        loc = UVLocator(param.uv, patch.tri.triangles)
-        inside, outside = _queries(param.uv, patch.tri.triangles, k)
+    # a face wider than one block: an outside query's candidates span blocks
+    square = build_square_mesh("delaunay", 48)
+    assert square.n_triangles > UVLocator.BLOCK
+    faces = [(name, param.uv, patch.tri.triangles, 1) for name, patch, param in uv_faces]
+    faces.append(("square48", square.vertices[:, :2], square.triangles, 20))
+    for k, (name, uv, tris, every) in enumerate(faces):
+        ref = PointLocator(uv, tris)
+        loc = UVLocator(uv, tris)
+        inside, outside = _queries(uv, tris, k)
+        inside = inside[::every]
         Q = np.concatenate([inside, outside]) if clamp else inside
         t, b = loc.locate_many(Q, clamp)
         t_ref, b_ref = _reference(ref, Q, clamp)
