@@ -8,7 +8,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .mesh import MeshError, Triangulation
-from .param import ParamOptions, parametrize
+# not called here: bench/spans.py wraps `atlas.parametrize` by name, and
+# its Tracer.install raises AttributeError without it
+from .param import parametrize  # noqa: F401
 from .patch import Patch
 
 
@@ -98,9 +100,8 @@ def bisect_patch(patch: Patch):
     return patch.subpatch(ids0), patch.subpatch(ids1)
 
 
-def _trial_reason(patch: Patch, options: ParamOptions):
-    """None if the trial parametrization is acceptable, else a split reason."""
-    param = parametrize(patch, options)
+def split_reason(param):
+    """None if a parametrization is acceptable, else the split reason."""
     if not param.injective:
         return "non-injective"
     areas = param.signed_areas
@@ -112,35 +113,32 @@ def _trial_reason(patch: Patch, options: ParamOptions):
     return None
 
 
-def make_parametrizable(
-    patch: Patch,
-    max_triangles=100_000,
-    options: ParamOptions | None = None,
-):
-    """Split a patch until every part maps one-to-one onto the disk.
+def make_parametrizable(patches, max_triangles, prepare):
+    """Split patches until every part maps one-to-one onto the disk.
 
-    Checks run in order: topology (genus 0, at least one boundary), size
-    (at most `max_triangles`), then a trial parametrization with
-    `options` whose parametric areas must stay away from machine
-    precision.  Returns (patches, split records); patches are ordered by
-    smallest contained model triangle id.
+    Checks run in order on each part: topology (genus 0, at least one
+    boundary), size (at most `max_triangles`), then `prepare(part)`,
+    which returns (refined part, parametrization, refine report); the
+    parametrization must pass `split_reason`.  Parts are checked
+    depth-first, so the splits of one patch end before the next patch
+    starts.  Returns (parts, the `prepare` result of each part, split
+    records); parts are ordered by smallest contained model triangle id.
     """
-    options = options or ParamOptions()
-    done: list[Patch] = []
+    done = []
     records: list[SplitRecord] = []
-    queue = [patch]
+    queue = list(reversed(patches))
     while queue:
         p = queue.pop()
-        reason = None
-        info, ok = p.topology()
+        _, ok = p.topology()
         if not ok:
             reason = "genus"
         elif p.n_triangles > max_triangles:
             reason = "size"
         else:
-            reason = _trial_reason(p, options)
+            prepared = prepare(p)
+            reason = split_reason(prepared[1])
         if reason is None:
-            done.append(p)
+            done.append((p, prepared))
             continue
         if p.n_triangles < 2:
             raise MeshError(
@@ -148,8 +146,8 @@ def make_parametrizable(
             )
         records.append(SplitRecord(patch_size=p.n_triangles, reason=reason))
         queue.extend(bisect_patch(p))
-    done.sort(key=lambda p: int(p.triangle_ids.min()))
-    return done, records
+    done.sort(key=lambda d: int(d[0].triangle_ids.min()))
+    return [d[0] for d in done], [d[1] for d in done], records
 
 
 # ---------------------------------------------------------------------------

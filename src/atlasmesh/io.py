@@ -188,12 +188,13 @@ def _format(path, format):
 
 
 def load_surface(path, format=None, weld_tolerance=0.0) -> Triangulation:
-    """Load a triangulated surface, welding duplicate vertices exactly.
+    """Load a triangulated surface.
 
     `format` is stl, obj or msh (the msh subset), by default the file
-    suffix; STL is read as binary or ASCII as the file says.  A positive
-    `weld_tolerance` also merges vertices at most that far apart; it must
-    be finite and non-negative.
+    suffix; STL is read as binary or ASCII as the file says, and its
+    duplicate vertices are welded exactly.  A positive `weld_tolerance`
+    merges vertices at most that far apart, in every format; it must be
+    finite and non-negative.
     """
     if not 0.0 <= weld_tolerance < np.inf:
         raise MeshError(f"weld tolerance must be finite and non-negative, got {weld_tolerance}")
@@ -205,14 +206,14 @@ def load_surface(path, format=None, weld_tolerance=0.0) -> Triangulation:
         tris = np.arange(3 * n, dtype=np.int64).reshape(n, 3)
         verts, tris = _weld(raw, tris, weld_tolerance)
         return Triangulation(verts, tris)
+    tags = None
     if fmt == "obj":
         verts, tris = _load_obj(path)
-        _check_finite(verts)
-        if weld_tolerance > 0.0:
-            verts, tris = _weld(verts, tris, weld_tolerance)
-        return Triangulation(verts, tris)
-    verts, tris, tags = _load_msh(path)
+    else:
+        verts, tris, tags = _load_msh(path)
     _check_finite(verts)
+    if weld_tolerance > 0.0:  # keeps the triangle order, so tags stay aligned
+        verts, tris = _weld(verts, tris, weld_tolerance)
     return Triangulation(verts, tris, patch_tags=tags)
 
 

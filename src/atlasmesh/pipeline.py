@@ -40,7 +40,7 @@ class AtlasResult:
 
 
 def build_atlas(model: Triangulation, opt: PipelineOptions | None = None) -> AtlasResult:
-    """Segment, split until parametrizable, refine, parametrize, build BREP."""
+    """Segment; split, refine and parametrize each patch; build the BREP."""
     opt = opt or PipelineOptions()
     t0 = time.perf_counter()
     adj = Adjacency(model)
@@ -53,19 +53,7 @@ def build_atlas(model: Triangulation, opt: PipelineOptions | None = None) -> Atl
     features = detect_feature_edges(model, adj, opt.angle_deg)
     segmentation = segment_patches(model, adj, features)
 
-    patches = []
-    split_records = []
-    for pid in range(segmentation.n_patches):
-        seed = Patch(model, segmentation.triangles_of(pid))
-        parts, records = make_parametrizable(seed, opt.max_triangles, opt)
-        patches.extend(parts)
-        split_records.extend(records)
-    patches.sort(key=lambda p: int(p.triangle_ids.min()))
-
-    brep = build_brep(model, patches)
-
-    def prepare(face_id):
-        p = brep.faces[face_id].patch
+    def prepare(p):
         report = None
         if opt.refine_threshold is not None:
             thr = (
@@ -77,9 +65,10 @@ def build_atlas(model: Triangulation, opt: PipelineOptions | None = None) -> Atl
             )
         return p, parametrize(p, opt), report
 
-    results = _run_parallel(prepare, range(len(brep.faces)), opt.threads)
-    refined = [r[0] for r in results]
-    params = [r[1] for r in results]
+    seeds = [Patch(model, segmentation.triangles_of(pid)) for pid in range(segmentation.n_patches)]
+    patches, results, split_records = make_parametrizable(seeds, opt.max_triangles, prepare)
+    # the BREP takes the unrefined parts: refinement keeps their boundary
+    brep = build_brep(model, patches)
 
     summary = {
         "input_triangles": model.n_triangles,
@@ -103,7 +92,8 @@ def build_atlas(model: Triangulation, opt: PipelineOptions | None = None) -> Atl
         "atlas_seconds": time.perf_counter() - t0,
     }
     return AtlasResult(
-        model=model, patches=refined, params=params, brep=brep, summary=summary
+        model=model, patches=[r[0] for r in results],
+        params=[r[1] for r in results], brep=brep, summary=summary,
     )
 
 

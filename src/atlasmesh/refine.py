@@ -69,8 +69,10 @@ def longest_edge_bisection(
     """
     if length_threshold is None:
         length_threshold = default_threshold(patch)
-    if length_threshold <= 0.0:
-        raise MeshError("refinement threshold must be positive")
+    if not 0.0 < length_threshold < np.inf:
+        raise MeshError(
+            f"refinement threshold must be finite and positive, got {length_threshold}"
+        )
     adj = patch.adj
     if not adj.is_manifold():
         raise MeshError("refinement needs an edge-manifold patch")

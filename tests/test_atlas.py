@@ -3,15 +3,20 @@ import pytest
 
 from fixtures import concave_hole_plate, cube, cylinder_shell, sphere, torus
 
-from atlasmesh.atlas import bisect_patch, build_brep, make_parametrizable
+from atlasmesh import param
+from atlasmesh.atlas import bisect_patch, build_brep, make_parametrizable, split_reason
 from atlasmesh.mesh import MeshError
-from atlasmesh.param import ParamOptions
 from atlasmesh.patch import Patch
 from atlasmesh.pipeline import PipelineOptions, build_atlas
 
 
 def _full_patch(mesh):
     return Patch(mesh, np.arange(mesh.n_triangles))
+
+
+def _flatten(patch):
+    """A `make_parametrizable` prepare step without refinement."""
+    return patch, param.parametrize(patch), None
 
 
 def test_bisect_balanced_and_connected():
@@ -27,7 +32,7 @@ def test_bisect_balanced_and_connected():
 
 def test_sphere_splits_into_disks():
     patch = _full_patch(sphere(2))
-    parts, records = make_parametrizable(patch, options=ParamOptions())
+    parts, _, records = make_parametrizable([patch], 100_000, _flatten)
     assert len(parts) >= 2
     assert any(r.reason == "genus" for r in records)
     for part in parts:
@@ -37,7 +42,7 @@ def test_sphere_splits_into_disks():
 
 def test_torus_splits_until_genus_zero():
     patch = _full_patch(torus())
-    parts, _ = make_parametrizable(patch, options=ParamOptions())
+    parts, _, _ = make_parametrizable([patch], 100_000, _flatten)
     for part in parts:
         info, ok = part.topology()
         assert ok and info.g == 0
@@ -46,7 +51,7 @@ def test_torus_splits_until_genus_zero():
 def test_size_limit_forces_split():
     mesh = cylinder_shell(n=16, rows=4)
     patch = _full_patch(mesh)
-    parts, records = make_parametrizable(patch, max_triangles=patch.n_triangles // 2)
+    parts, _, records = make_parametrizable([patch], patch.n_triangles // 2, _flatten)
     assert len(parts) >= 2
     assert any(r.reason == "size" for r in records)
     assert sum(p.n_triangles for p in parts) == patch.n_triangles
@@ -55,9 +60,20 @@ def test_size_limit_forces_split():
 def test_disk_patch_untouched():
     mesh = concave_hole_plate()
     patch = _full_patch(mesh)
-    parts, records = make_parametrizable(patch, options=ParamOptions())
+    parts, _, records = make_parametrizable([patch], 100_000, _flatten)
     assert len(parts) == 1
     assert records == []
+
+
+@pytest.mark.parametrize("make", [cube, torus, concave_hole_plate])
+def test_each_face_is_parametrized_once_and_passes_the_split_check(monkeypatch, make):
+    calls = []
+    assemble = param.assemble_system
+    monkeypatch.setattr(param, "assemble_system", lambda *a, **k: calls.append(1) or assemble(*a, **k))
+    atlas = build_atlas(make(), PipelineOptions(refine_threshold="auto"))
+    assert len(calls) == len(atlas.brep.faces)
+    assert all(f["refine"]["splits"] > 0 for f in atlas.summary["faces"])
+    assert [split_reason(pr) for pr in atlas.params] == [None] * len(atlas.params)
 
 
 def test_cube_brep_counts():
@@ -108,7 +124,7 @@ def test_single_triangle_failure_raises():
     patch = _full_patch(Triangulation(v, [[0, 1, 2]]))
     # a lone triangle is already a disk; force an impossible size limit
     with pytest.raises(MeshError):
-        make_parametrizable(patch, max_triangles=0)
+        make_parametrizable([patch], 0, _flatten)
 
 
 def test_build_brep_corner_points_on_cube():

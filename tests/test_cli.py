@@ -108,6 +108,15 @@ def test_info_rejects_bad_weld_tolerance(cube_file, capsys, tol):
         load_surface(cube_file, weld_tolerance=float(tol))
 
 
+@pytest.mark.parametrize("threshold", ["0", "-1", "nan", "inf"])
+def test_atlas_rejects_bad_refine_threshold(cube_file, tmp_path, capsys, threshold):
+    out = tmp_path / "atlas.msh"
+    message = _mesh_error(capsys, ["atlas", str(cube_file), "--refine-threshold", threshold,
+                                   "-o", str(out)])
+    assert "refinement threshold must be finite and positive" in message
+    assert not out.exists()
+
+
 def test_readme_names_every_flag():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))

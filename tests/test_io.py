@@ -109,6 +109,28 @@ def test_msh_carries_curves(tmp_path):
     assert sum(1 for ln in text.splitlines() if ln.startswith("1 ")) >= 12
 
 
+@pytest.mark.parametrize("fmt", ["obj", "msh"])
+def test_weld_tolerance_applies_to_obj_and_msh(tmp_path, fmt):
+    p = tmp_path / f"cube.{fmt}"
+    write_mesh(cube(), p)
+    assert load_surface(p).n_vertices == 8
+    # at 5.0 every cube corner merges into one, which no triangle survives
+    with pytest.raises(MeshError, match="repeated vertex"):
+        load_surface(p, weld_tolerance=5.0)
+
+
+def test_msh_weld_merges_near_duplicates_and_keeps_tags(tmp_path):
+    v = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0], [1 + 1e-9, 0, 0]])
+    split = Triangulation(v, [[0, 1, 2], [4, 3, 2]], patch_tags=[1, 2])
+    p = tmp_path / "split.msh"
+    write_mesh(split, p)
+    assert load_surface(p).n_vertices == 5
+    welded = load_surface(p, weld_tolerance=1e-6)
+    assert welded.n_vertices == 4
+    assert welded.triangles.tolist() == [[0, 1, 2], [1, 3, 2]]
+    assert welded.patch_tags.tolist() == [1, 2]
+
+
 def test_unknown_extension():
     with pytest.raises(MeshError):
         load_surface("mesh.xyz")

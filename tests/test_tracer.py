@@ -17,6 +17,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import spans  # noqa: E402
 
 TRACED = [
+    "atlas.make_parametrizable",
+    "param.parametrize",
+    "refine.longest_edge_bisection",
     "remesh.discretize_curve",
     "remesh.mesh_patch_uv",
     "remesh.map_to_3d",
@@ -29,7 +32,8 @@ TRACED = [
 def test_tracer_sees_every_remesh_layer(tmp_path):
     src = tmp_path / "cube.obj"
     write_mesh(cube(), src)
-    names = ["discretize_curve", "mesh_patch_uv", "map_to_3d", "stitch", "_run_parallel"]
+    names = ["make_parametrizable", "parametrize", "longest_edge_bisection", "build_brep",
+             "discretize_curve", "mesh_patch_uv", "map_to_3d", "stitch", "_run_parallel"]
     before = {name: getattr(pipeline, name) for name in names}
     locate = remesh.UVLocator.locate
     split = planar.PlanarMesh.split_edge
@@ -47,6 +51,11 @@ def test_tracer_sees_every_remesh_layer(tmp_path):
     missing = [name for name in TRACED if name not in recorded]
     assert not missing, f"no span recorded for {missing}"
     assert tracer.counters["pipeline.faces"] == 6
+    # each face is flattened once, by the map the split check accepted
+    assert tracer.uv_nonpositive == 0
+    assert "atlas.trial_param_calls" not in tracer.counters
+    solves = [nid for nid, *_ in tracer.records if tracer.names[nid] == "param.solve"]
+    assert len(solves) == 6
     assert all(getattr(pipeline, name) is before[name] for name in names)
     assert remesh.UVLocator.locate is locate
     assert planar.PlanarMesh.split_edge is split
