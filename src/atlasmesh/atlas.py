@@ -181,128 +181,61 @@ class BRep:
 
 
 def build_brep(model: Triangulation, patches: list[Patch]) -> BRep:
-    """Chain patch-boundary edges into curves and corners.
+    """Cut the patch boundary loops into curves at the corners.
 
     The curve network is the union of all patch boundary edges (feature
-    edges, cuts and model boundary alike).  Vertices of network valence
-    other than two, or where the adjacent-face pair changes, become
-    corner points; edges between corners chain into open curves and the
-    remaining cycles into closed curves.
+    edges, cuts and model boundary alike).  A network vertex is a corner
+    unless it has valence two and both its edges border the same faces.
+    Each loop, rotated to its first corner, is cut at every corner into
+    runs; a loop without a corner is one closed run, cut at its smallest
+    vertex.  A curve starts at its smaller end, towards the smaller
+    neighbour when both ends are one vertex; curves are numbered by
+    (closed, start, second vertex), so open curves come first.
     """
-    edge_faces: dict[tuple[int, int], list[int]] = {}
-    for fid, p in enumerate(patches):
-        for loop in p.global_loops():
-            nn = len(loop)
-            for k in range(nn):
-                a, b = loop[k], loop[(k + 1) % nn]
-                key = (a, b) if a < b else (b, a)
-                edge_faces.setdefault(key, [])
-                if fid not in edge_faces[key]:
-                    edge_faces[key].append(fid)
+    loops = [[np.asarray(lp) for lp in p.global_loops()] for p in patches]
+    flat = [(fid, lp) for fid, lps in enumerate(loops) for lp in lps]
+    a = np.concatenate([lp for _, lp in flat])
+    b = np.concatenate([np.roll(lp, -1) for _, lp in flat])
+    face = np.concatenate([np.full(len(lp), fid) for fid, lp in flat])
+    n, nf = model.n_vertices, len(patches)
+    key, edge = np.unique(np.minimum(a, b) * n + np.maximum(a, b), return_inverse=True)
+    first, last = np.full(len(key), nf), np.full(len(key), -1)
+    np.minimum.at(first, edge, face)
+    np.maximum.at(last, edge, face)
+    ends = np.concatenate([key // n, key % n])
+    valence = np.bincount(ends, minlength=n)
+    # distinct face pairs (first * nf + last face) among a vertex's edges
+    n_pairs = np.bincount(
+        np.unique(ends * nf * nf + np.tile(first * nf + last, 2)) // (nf * nf), minlength=n
+    )
+    is_corner = (valence > 0) & ((valence != 2) | (n_pairs > 1))
 
-    star: dict[int, list[tuple[int, int]]] = {}
-    for e in edge_faces:
-        star.setdefault(e[0], []).append(e)
-        star.setdefault(e[1], []).append(e)
-
-    def is_corner(v):
-        edges = star[v]
-        if len(edges) != 2:
-            return True
-        return sorted(edge_faces[edges[0]]) != sorted(edge_faces[edges[1]])
-
-    corners = sorted(v for v in star if is_corner(v))
-    corner_set = set(corners)
-
-    curves: list[Curve] = []
-    edge_curve: dict[tuple[int, int], int] = {}
-    unused = set(edge_faces)
-
-    def other_end(edge, v):
-        return edge[0] if edge[1] == v else edge[1]
-
-    def chain_from(start, first_edge):
-        verts = [start, other_end(first_edge, start)]
-        edges = [first_edge]
-        while verts[-1] not in corner_set:
-            v = verts[-1]
-            nxt = [e for e in star[v] if e != edges[-1]]
-            if len(nxt) != 1:
-                raise MeshError("inconsistent curve network")  # bug guard
-            edges.append(nxt[0])
-            verts.append(other_end(nxt[0], v))
-        return verts, edges
-
-    for c in corners:
-        for e in sorted(star[c]):
-            if e not in unused:
-                continue
-            verts, edges = chain_from(c, e)
-            if any(x not in unused for x in edges):
-                continue
-            cid = len(curves)
-            curves.append(Curve(vertices=verts, closed=False,
-                                faces=sorted(edge_faces[edges[0]])))
-            for x in edges:
-                edge_curve[x] = cid
-                unused.discard(x)
-
-    while unused:  # closed curves without corners
-        start_edge = min(unused)
-        v0 = start_edge[0]
-        verts = [v0, other_end(start_edge, v0)]
-        edges = [start_edge]
-        while True:
-            v = verts[-1]
-            nxt = [e for e in star[v] if e != edges[-1]]
-            if len(nxt) != 1:
-                raise MeshError("inconsistent curve network")
-            if nxt[0] == start_edge:
-                break
-            edges.append(nxt[0])
-            verts.append(other_end(nxt[0], v))
-        cid = len(curves)
-        curves.append(Curve(vertices=verts, closed=True,
-                            faces=sorted(edge_faces[start_edge])))
-        for x in edges:
-            edge_curve[x] = cid
-            unused.discard(x)
-
-    faces = []
-    for fid, p in enumerate(patches):
-        face = Face(patch=p)
-        for loop in p.global_loops():
-            nn = len(loop)
+    runs: dict[tuple, tuple[list, list]] = {}  # curve key -> (vertices, faces)
+    walks = []  # per face, per loop: (curve key, forward) of each run
+    for fid, lps in enumerate(loops):
+        walks.append([])
+        for lp in lps:
+            cuts = np.flatnonzero(is_corner[lp])
+            closed = len(cuts) == 0
+            if closed:
+                cuts = np.argmin(lp)[None]
+            seq = np.roll(lp, -cuts[0]).tolist()
+            seq.append(seq[0])
+            bounds = (cuts - cuts[0]).tolist() + [len(lp)]
             cyc = []
-            # rotate so the loop starts at a corner if it has one
-            starts = [k for k in range(nn) if loop[k] in corner_set]
-            if starts:
-                k0 = starts[0]
-                seq = [loop[(k0 + k) % nn] for k in range(nn)] + [loop[k0]]
-                run = [seq[0]]
-                for v in seq[1:]:
-                    run.append(v)
-                    if v in corner_set:
-                        e0 = (run[0], run[1]) if run[0] < run[1] else (run[1], run[0])
-                        cid = edge_curve[e0]
-                        cur = curves[cid]
-                        forward = run == cur.vertices
-                        if not forward and list(reversed(run)) != cur.vertices:
-                            raise MeshError("face loop does not match curve")
-                        cyc.append((cid, forward))
-                        run = [v]
-            else:
-                e0 = (
-                    (loop[0], loop[1]) if loop[0] < loop[1] else (loop[1], loop[0])
-                )
-                cid = edge_curve[e0]
-                cur = curves[cid]
-                i0 = cur.vertices.index(loop[0])
-                forward = (
-                    cur.vertices[(i0 + 1) % len(cur.vertices)] == loop[1]
-                )
-                cyc.append((cid, forward))
-            face.loops.append(cyc)
-        faces.append(face)
-
-    return BRep(faces=faces, curves=curves, points=corners)
+            for s, e in zip(bounds, bounds[1:]):
+                run = seq[s:e + 1]
+                forward = (run[0], run[1]) < (run[-1], run[-2])
+                verts = run if forward else run[::-1]
+                k = (closed, verts[0], verts[1])
+                runs.setdefault(k, (verts[:-1] if closed else verts, []))[1].append(fid)
+                cyc.append((k, forward))
+            walks[-1].append(cyc)
+    keys = sorted(runs)
+    cid = {k: i for i, k in enumerate(keys)}
+    curves = [Curve(vertices=runs[k][0], closed=k[0], faces=runs[k][1]) for k in keys]
+    faces = [
+        Face(patch=p, loops=[[(cid[k], fw) for k, fw in cyc] for cyc in walk])
+        for p, walk in zip(patches, walks)
+    ]
+    return BRep(faces=faces, curves=curves, points=np.flatnonzero(is_corner).tolist())

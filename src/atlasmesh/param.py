@@ -54,6 +54,26 @@ def _clamp_angles(theta):
     return clipped
 
 
+# the six (row, column) corner pairs of a triangle, in weight order
+PAIRS = ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1))
+
+
+def corner_weights(angles, sides, scheme):
+    """The six weights lambda_ij of triangles, one array per pair in PAIRS.
+
+    `angles[i]` is the angle at corner i and `sides[i]` the side opposite
+    it, so corners i and j share side 3 - i - j.  MVC: tan(angle_i / 2)
+    over that side; FEM: half the cotangent of the third corner's angle.
+    """
+    if scheme == "mvc":
+        h = [np.tan(t / 2.0) for t in angles]
+        return [h[i] / sides[3 - i - j] for i, j in PAIRS]
+    if scheme == "fem":
+        c = [0.5 / np.tan(t) for t in angles]
+        return [c[3 - i - j] for i, j in PAIRS]
+    raise MeshError(f"unknown scheme: {scheme}")
+
+
 def scheme_weight_matrix(vertices, triangles, scheme="mvc"):
     """Sparse matrix W with W[i, j] = lambda_ij summed over adjacent triangles.
 
@@ -69,21 +89,10 @@ def scheme_weight_matrix(vertices, triangles, scheme="mvc"):
     l0 = np.linalg.norm(p[:, 1] - p[:, 2], axis=1)
     l1 = np.linalg.norm(p[:, 2] - p[:, 0], axis=1)
     l2 = np.linalg.norm(p[:, 0] - p[:, 1], axis=1)
-    t0, t1, t2 = triangle_angles(l0, l1, l2)
-    t0, t1, t2 = _clamp_angles(t0), _clamp_angles(t1), _clamp_angles(t2)
-    i0, i1, i2 = tri[:, 0], tri[:, 1], tri[:, 2]
-    if scheme == "mvc":
-        h0, h1, h2 = np.tan(t0 / 2.0), np.tan(t1 / 2.0), np.tan(t2 / 2.0)
-        rows = np.concatenate([i0, i0, i1, i1, i2, i2])
-        cols = np.concatenate([i1, i2, i0, i2, i0, i1])
-        vals = np.concatenate([h0 / l2, h0 / l1, h1 / l2, h1 / l0, h2 / l1, h2 / l0])
-    elif scheme == "fem":
-        c0, c1, c2 = 0.5 / np.tan(t0), 0.5 / np.tan(t1), 0.5 / np.tan(t2)
-        rows = np.concatenate([i1, i2, i0, i2, i0, i1])
-        cols = np.concatenate([i2, i1, i2, i0, i1, i0])
-        vals = np.concatenate([c0, c0, c1, c1, c2, c2])
-    else:
-        raise MeshError(f"unknown scheme: {scheme}")
+    angles = [_clamp_angles(t) for t in triangle_angles(l0, l1, l2)]
+    vals = np.concatenate(corner_weights(angles, (l0, l1, l2), scheme))
+    rows = np.concatenate([tri[:, i] for i, _ in PAIRS])
+    cols = np.concatenate([tri[:, j] for _, j in PAIRS])
     W = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
     W.sum_duplicates()
     return W
@@ -215,30 +224,23 @@ def assemble_system(
     # pseudo-center rows: the center averages the hole vertices with the
     # weights of the virtual isosceles fan, and hole-vertex rows gain the
     # corresponding couplings (center column plus the second ring-edge side).
-    # Per hole edge (vj, vj1) there are six couplings (row, column, vertex,
-    # weight), in this order:
+    # The fan triangle (center, vj, vj1) gives six couplings (row, column,
+    # vertex, weight) in PAIRS order:
     #   center-vj, center-vj1, vj-center, vj-vj1, vj1-center, vj1-vj,
     # the last four only for rows of free vertices.  Each gives a diagonal
     # triplet, then an off-diagonal one, or an rhs term for a Dirichlet
     # column; emitting them in this order keeps the summed entries of A and
     # rhs bit for bit those of a per-coupling loop.
+    row_corner, col_corner = np.array(PAIRS).T
     for k in fill:
         loop = np.asarray(patch.loops[k], dtype=np.int64)
         alpha, beta, r_hole, base = _virtual_hole_triangles(patch, loop)
-        if scheme == "mvc":
-            w_center = np.tan(alpha / 2.0) / r_hole
-            w_ring = np.tan(beta / 2.0) / base
-            w_back = np.tan(beta / 2.0) / r_hole
-        else:
-            w_center = w_back = 0.5 / np.tan(beta)
-            w_ring = 0.5 / np.tan(alpha)
+        w = np.column_stack(corner_weights((alpha, beta, beta), (base, r_hole, r_hole), scheme))
         vj, vj1 = loop, np.roll(loop, -1)
-        uj, uj1 = unknown[vj], unknown[vj1]
-        cid = np.full(len(loop), center_ids[k])
-        row = np.column_stack([cid, cid, uj, uj, uj1, uj1])
-        col = np.column_stack([uj, uj1, cid, uj1, cid, uj])
-        vert = np.column_stack([vj, vj1, vj, vj1, vj1, vj])
-        w = np.column_stack([w_center, w_center, w_back, w_ring, w_back, w_ring])
+        fan = np.column_stack([np.full(len(loop), center_ids[k]), unknown[vj], unknown[vj1]])
+        # the center's vertex slot is never read: its column is never Dirichlet
+        row, col = fan[:, row_corner], fan[:, col_corner]
+        vert = np.column_stack([vj, vj, vj1])[:, col_corner]
         on = row >= 0
         pair_on = np.stack([on, on & (col >= 0)], axis=-1)
         rows.append(np.stack([row, row], axis=-1)[pair_on])

@@ -9,11 +9,17 @@ vertex, a `locate_many` call per smoothed vertex, a winding-number loop
 per triangle, a boundary test that scans the vertex's edges, and a
 planar mesh with numpy points.  The batched loop must make the same
 edits in the same order, so both give the same arrays.
+
+`reference_build_brep` is the BREP builder as it was before it became
+one walk over the face loops: edge and vertex-star dicts, a chain from
+each corner, a second walk for closed curves (which repeats the start
+vertex at the end), then a pass matching every face loop to its curves.
 """
 
 import numpy as np
 
 from atlasmesh import planar
+from atlasmesh.atlas import BRep, Curve, Face
 from atlasmesh.mesh import MeshError, signed_uv_areas
 from atlasmesh.planar import _orient
 from atlasmesh.remesh import GAUSS, METRIC_LONG, METRIC_SHORT, FaceMetric
@@ -333,3 +339,134 @@ def reference_mesh_patch_uv(patch, param, loops, h, passes=10):
         raise MeshError("remesher produced an inverted UV triangle")
     vertex_ids = np.concatenate([ids, np.full(len(mesh.points) - n_fixed, -1)])
     return pts, tris, vertex_ids[used], done, converged, counts
+
+
+# -- the BREP chained from edge dicts ------------------------------------------
+
+
+def reference_build_brep(model, patches):
+    """`atlas.build_brep` as it was: chain patch-boundary edges into curves.
+
+    The curve network is the union of all patch boundary edges (feature
+    edges, cuts and model boundary alike).  Vertices of network valence
+    other than two, or where the adjacent-face pair changes, become
+    corner points; edges between corners chain into open curves and the
+    remaining cycles into closed curves.
+    """
+    edge_faces: dict[tuple[int, int], list[int]] = {}
+    for fid, p in enumerate(patches):
+        for loop in p.global_loops():
+            nn = len(loop)
+            for k in range(nn):
+                a, b = loop[k], loop[(k + 1) % nn]
+                key = (a, b) if a < b else (b, a)
+                edge_faces.setdefault(key, [])
+                if fid not in edge_faces[key]:
+                    edge_faces[key].append(fid)
+
+    star: dict[int, list[tuple[int, int]]] = {}
+    for e in edge_faces:
+        star.setdefault(e[0], []).append(e)
+        star.setdefault(e[1], []).append(e)
+
+    def is_corner(v):
+        edges = star[v]
+        if len(edges) != 2:
+            return True
+        return sorted(edge_faces[edges[0]]) != sorted(edge_faces[edges[1]])
+
+    corners = sorted(v for v in star if is_corner(v))
+    corner_set = set(corners)
+
+    curves: list[Curve] = []
+    edge_curve: dict[tuple[int, int], int] = {}
+    unused = set(edge_faces)
+
+    def other_end(edge, v):
+        return edge[0] if edge[1] == v else edge[1]
+
+    def chain_from(start, first_edge):
+        verts = [start, other_end(first_edge, start)]
+        edges = [first_edge]
+        while verts[-1] not in corner_set:
+            v = verts[-1]
+            nxt = [e for e in star[v] if e != edges[-1]]
+            if len(nxt) != 1:
+                raise MeshError("inconsistent curve network")  # bug guard
+            edges.append(nxt[0])
+            verts.append(other_end(nxt[0], v))
+        return verts, edges
+
+    for c in corners:
+        for e in sorted(star[c]):
+            if e not in unused:
+                continue
+            verts, edges = chain_from(c, e)
+            if any(x not in unused for x in edges):
+                continue
+            cid = len(curves)
+            curves.append(Curve(vertices=verts, closed=False,
+                                faces=sorted(edge_faces[edges[0]])))
+            for x in edges:
+                edge_curve[x] = cid
+                unused.discard(x)
+
+    while unused:  # closed curves without corners
+        start_edge = min(unused)
+        v0 = start_edge[0]
+        verts = [v0, other_end(start_edge, v0)]
+        edges = [start_edge]
+        while True:
+            v = verts[-1]
+            nxt = [e for e in star[v] if e != edges[-1]]
+            if len(nxt) != 1:
+                raise MeshError("inconsistent curve network")
+            if nxt[0] == start_edge:
+                break
+            edges.append(nxt[0])
+            verts.append(other_end(nxt[0], v))
+        cid = len(curves)
+        curves.append(Curve(vertices=verts, closed=True,
+                            faces=sorted(edge_faces[start_edge])))
+        for x in edges:
+            edge_curve[x] = cid
+            unused.discard(x)
+
+    faces = []
+    for fid, p in enumerate(patches):
+        face = Face(patch=p)
+        for loop in p.global_loops():
+            nn = len(loop)
+            cyc = []
+            # rotate so the loop starts at a corner if it has one
+            starts = [k for k in range(nn) if loop[k] in corner_set]
+            if starts:
+                k0 = starts[0]
+                seq = [loop[(k0 + k) % nn] for k in range(nn)] + [loop[k0]]
+                run = [seq[0]]
+                for v in seq[1:]:
+                    run.append(v)
+                    if v in corner_set:
+                        e0 = (run[0], run[1]) if run[0] < run[1] else (run[1], run[0])
+                        cid = edge_curve[e0]
+                        cur = curves[cid]
+                        forward = run == cur.vertices
+                        if not forward and list(reversed(run)) != cur.vertices:
+                            raise MeshError("face loop does not match curve")
+                        cyc.append((cid, forward))
+                        run = [v]
+            else:
+                e0 = (
+                    (loop[0], loop[1]) if loop[0] < loop[1] else (loop[1], loop[0])
+                )
+                cid = edge_curve[e0]
+                cur = curves[cid]
+                i0 = cur.vertices.index(loop[0])
+                forward = (
+                    cur.vertices[(i0 + 1) % len(cur.vertices)] == loop[1]
+                )
+                cyc.append((cid, forward))
+            face.loops.append(cyc)
+        faces.append(face)
+
+    return BRep(faces=faces, curves=curves, points=corners)

@@ -1,13 +1,28 @@
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from fixtures import concave_hole_plate, cube, cylinder_shell, sphere, torus
+from fixtures import (
+    concave_hole_plate,
+    cube,
+    cylinder_shell,
+    random_disk_fixture,
+    sphere,
+    torus,
+)
+from scalar_reference import reference_build_brep
 
 from atlasmesh import param
 from atlasmesh.atlas import bisect_patch, build_brep, make_parametrizable, split_reason
-from atlasmesh.mesh import MeshError
+from atlasmesh.features import detect_feature_edges, segment_patches
+from atlasmesh.mesh import Adjacency, MeshError, Triangulation
 from atlasmesh.patch import Patch
 from atlasmesh.pipeline import PipelineOptions, build_atlas
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import models  # noqa: E402
 
 
 def _full_patch(mesh):
@@ -105,16 +120,29 @@ def test_plate_brep_has_closed_hole_curve():
 
 
 def test_face_loops_walk_consistently():
-    atlas = build_atlas(cube(), PipelineOptions(refine_threshold=None))
-    for fid, face in enumerate(atlas.brep.faces):
-        for cyc in face.loops:
-            # consecutive curves share their junction point
-            chains = []
-            for cid, forward in cyc:
-                v = atlas.brep.curves[cid].vertices
-                chains.append(v if forward else v[::-1])
-            for k in range(len(chains)):
-                assert chains[k][-1] == chains[(k + 1) % len(chains)][0]
+    cases = [(cube(), 100_000), (concave_hole_plate(), 100_000),
+             (cylinder_shell(), 100_000), (torus(), 100_000), (sphere(3), 25)]
+    for mesh, max_triangles in cases:
+        opt = PipelineOptions(refine_threshold=None, max_triangles=max_triangles)
+        brep = build_atlas(mesh, opt).brep
+        corners = set(brep.points)
+        for face in brep.faces:
+            for cyc, loop in zip(face.loops, face.patch.global_loops(), strict=True):
+                curves = [brep.curves[cid] for cid, _ in cyc]
+                chains = [c.vertices if fw else c.vertices[::-1]
+                          for c, (_, fw) in zip(curves, cyc)]
+                if curves[0].closed:  # a closed curve is its loop's only curve
+                    assert len(cyc) == 1
+                    walk = chains[0]
+                    assert len(set(walk)) == len(walk)  # each vertex once
+                else:
+                    # consecutive curves share their junction point
+                    for k in range(len(chains)):
+                        assert chains[k][-1] == chains[(k + 1) % len(chains)][0]
+                    walk = [v for chain in chains for v in chain[:-1]]
+                # the chained curves are the loop, rotated to its first corner
+                k0 = next((k for k, v in enumerate(loop) if v in corners), loop.index(walk[0]))
+                assert walk == loop[k0:] + loop[:k0]
 
 
 def test_single_triangle_failure_raises():
@@ -132,3 +160,65 @@ def test_build_brep_corner_points_on_cube():
     atlas = build_atlas(mesh, PipelineOptions(refine_threshold=None))
     corner_xyz = mesh.vertices[sorted(atlas.brep.points)]
     assert np.allclose(np.sort(corner_xyz, axis=0), np.sort(mesh.vertices, axis=0))
+
+
+def _parts(mesh, angle, max_triangles=100_000):
+    """The unrefined atlas parts that `build_atlas` hands to `build_brep`."""
+    adj = Adjacency(mesh)
+    seg = segment_patches(mesh, adj, detect_feature_edges(mesh, adj, angle))
+    seeds = [Patch(mesh, seg.triangles_of(pid)) for pid in range(seg.n_patches)]
+    return make_parametrizable(seeds, max_triangles, _flatten)[0]
+
+
+def _bench_model(name, **params):
+    return Triangulation(*models.GENERATORS[name](**params))
+
+
+def _bowtie(flip):
+    """Two triangles meeting at vertex 0: each loop is a curve from 0 back to 0."""
+    v = np.array([[0, 0, 0], [1, -1, 0], [1, 1, 0], [-1, 1, 0], [-1, -1, 0]], dtype=float)
+    tris = np.array([[0, 1, 2], [0, 3, 4]])
+    return Triangulation(v, tris[:, ::-1] if flip else tris)
+
+
+GRID_MODELS = {
+    "cube": cube, "sphere2": lambda: sphere(2), "sphere3": lambda: sphere(3),
+    "torus": torus, "cylinder": cylinder_shell, "plate": concave_hole_plate,
+    **{f"disk{s}": (lambda s=s: random_disk_fixture(s)) for s in range(8)},
+    "bench_torus": lambda: _bench_model("torus", nu=12, nv=6),
+    "bench_tube": lambda: _bench_model("tube"),
+    "bench_frame": lambda: _bench_model("square_frame", resolution=10),
+    "bench_sphere": lambda: _bench_model("sphere", subdivisions=4),
+}
+SPLIT_MODELS = ["cube", "sphere3", "torus", "cylinder", "plate", "disk0", "disk1"]
+
+
+def _assert_same_brep(mesh, parts):
+    new, ref = build_brep(mesh, parts), reference_build_brep(mesh, parts)
+    assert new.points == ref.points
+    assert len(new.curves) == len(ref.curves)
+    for curve, old in zip(new.curves, ref.curves):
+        assert (curve.closed, curve.faces) == (old.closed, old.faces)
+        # the reference repeats a closed curve's start vertex at its end
+        assert curve.vertices == (old.vertices[:-1] if old.closed else old.vertices)
+    assert [f.loops for f in new.faces] == [f.loops for f in ref.faces]
+    assert [f.patch for f in new.faces] == parts
+
+
+def _reference_cases(name):
+    """(mesh, atlas parts) pairs: the angle grid, plus forced splits for some."""
+    if name.startswith("bowtie"):
+        mesh = _bowtie(flip=name == "bowtie_flipped")
+        return [(mesh, [_full_patch(mesh)]), (mesh, [Patch(mesh, [0]), Patch(mesh, [1])])]
+    mesh = GRID_MODELS[name]()
+    cases = [(mesh, _parts(mesh, angle)) for angle in (20, 40, 180)]
+    if name in SPLIT_MODELS:
+        cases += [(mesh, _parts(mesh, angle, max_triangles))
+                  for max_triangles in (200, 60, 25, 9) for angle in (40, 180)]
+    return cases
+
+
+@pytest.mark.parametrize("name", sorted(GRID_MODELS) + ["bowtie", "bowtie_flipped"])
+def test_brep_equals_the_reference(name):
+    for mesh, parts in _reference_cases(name):
+        _assert_same_brep(mesh, parts)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fixtures import cube, cylinder_shell, package_env
+from fixtures import concave_hole_plate, cube, cylinder_shell, package_env
 
 from atlasmesh.cli import build_parser, main
 from atlasmesh.io import load_surface, write_mesh
@@ -147,6 +147,32 @@ def test_atlas_writes_mesh_and_summary(cube_file, tmp_path):
     assert len(dumps) == 6
     first = np.loadtxt(dumps[0])
     assert first.shape[1] == 3  # global id, u, v
+
+
+def _msh_element_blocks(path):
+    """(element type, [node tags per element]) of each `$Elements` block."""
+    lines = iter(path.read_text().split("$Elements\n")[1].split("$EndElements")[0].splitlines()[1:])
+    blocks = []
+    for header in lines:
+        _, _, etype, count = map(int, header.split())
+        blocks.append((etype, [next(lines).split()[1:] for _ in range(count)]))
+    return blocks
+
+
+@pytest.mark.parametrize("make", [concave_hole_plate, cylinder_shell])
+def test_atlas_writes_no_zero_length_curve_element(make, tmp_path):
+    src = tmp_path / "model.msh"
+    write_mesh(make(), src)
+    out = tmp_path / "atlas.msh"
+    assert main(["atlas", str(src), "-o", str(out)]) == 0
+    curves = [elems for etype, elems in _msh_element_blocks(out) if etype == 1]
+    assert len(curves) == 2  # each fixture's two closed curves
+    for elems in curves:
+        assert all(a != b for a, b in elems)
+        # a closed curve's block is one cycle through each node once
+        assert [a for a, _ in elems[1:]] == [b for _, b in elems[:-1]]
+        assert elems[-1][1] == elems[0][0]
+        assert len({a for a, _ in elems}) == len(elems)
 
 
 def test_remesh_end_to_end(cube_file, tmp_path):
