@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import MeshError
+from .mesh import Adjacency, MeshError, Triangulation
 from .patch import Patch
 
 
@@ -51,19 +51,37 @@ def default_threshold(patch: Patch):
     return float(np.mean(np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])))
 
 
+def _bisect(tris, side, mid):
+    """Bisect in place each row (x, y, z) of `tris` whose `mid` is set.
+
+    The split side (x, y) starts at corner `side` of the row.  The row
+    becomes (x, m, z); returns the other halves (m, y, z) and the rows
+    they came from.
+    """
+    r = np.nonzero(mid >= 0)[0]
+    k = (side[r] if np.ndim(side) else side) + np.arange(3)[:, None]
+    x, y, z = tris[r, k % 3]
+    m = mid[r]
+    tris[r] = np.column_stack([x, m, z])
+    return np.column_stack([m, y, z]), r
+
+
 def longest_edge_bisection(
     patch: Patch,
     length_threshold=None,
     max_rounds=10,
     split_boundary=True,
 ):
-    """Split long edges, longest first, until interior edges fit the threshold.
+    """Split long edges in rounds until interior edges fit the threshold.
 
-    Each round tags the currently long edges, sorts them by length
-    descending and splits them in that order; both triangles adjacent to
-    a split edge are bisected so no hanging nodes appear.  With
-    split_boundary=False boundary edges are never split.  The patch must
-    be edge-manifold.
+    Each round takes the edges longer than the threshold and numbers
+    their midpoints longest first, ties by vertex pair.  Every triangle
+    with a midpoint is bisected along its lowest-numbered one; each half
+    then holds at most one more midpoint and is bisected along it.  Both
+    triangles of a split edge are bisected, so no hanging nodes appear.
+    With split_boundary=False boundary edges are never split.  The patch
+    must be edge-manifold.  The numbering of the refined triangles is
+    not part of the result.
 
     Returns (refined Patch, RefineReport).
     """
@@ -73,93 +91,47 @@ def longest_edge_bisection(
         raise MeshError(
             f"refinement threshold must be finite and positive, got {length_threshold}"
         )
-    adj = patch.adj
+    if max_rounds < 0:
+        raise MeshError(f"refinement rounds must be at least 0, got {max_rounds}")
+    verts, tris, adj = patch.tri.vertices, patch.tri.triangles.copy(), patch.adj
     if not adj.is_manifold():
         raise MeshError("refinement needs an edge-manifold patch")
 
-    # An edge (u, v), u < v, is keyed u * N + v, so keys order as pairs
-    # do.  Edge ids index the arrays below; an edge keeps its length and
-    # its triangle count from creation on.  `em` maps live keys to their
-    # triangles, in the order the serial split loop adds them, which
-    # numbers the new triangles.
-    N = 1 << 32
-    verts = patch.tri.vertices
-    tris = [tuple(t) for t in patch.tri.triangles.tolist()]
-    ekeys = adj.edges[:, 0] * N + adj.edges[:, 1]
-    em = {
-        k: [s] if t < 0 else [s, t]
-        for k, (s, t) in zip(ekeys.tolist(), adj.edge_tri.tolist())
-    }
-    lengths = _lengths(verts, adj.edges[:, 0], adj.edges[:, 1])
-    interior = adj.edge_count == 2
-    live = np.ones(len(ekeys), dtype=bool)
-
-    def split(edge, m, fresh):
-        # triangle (x, y, z) over the split edge (x, y) becomes (x, m, z)
-        # and the new (m, y, z); the new edges are (x, m), (y, m), (z, m)
-        a, b = divmod(edge, N)
-        for t in em.pop(edge):
-            ta, tb, tc = tris[t]
-            z = ta + tb + tc - a - b
-            x, y = (tb, tc) if z == ta else (tc, ta) if z == tb else (ta, tb)
-            tid2 = len(tris)
-            tris[t] = (x, m, z)
-            tris.append((m, y, z))
-            zx = em[z * N + x if z < x else x * N + z]
-            zx.remove(t)
-            zx.append(t)
-            yz = em[y * N + z if y < z else z * N + y]
-            yz.remove(t)
-            yz.append(tid2)
-            for k, tid in ((x * N + m, t), (y * N + m, tid2)):
-                ts = em.get(k)
-                if ts is None:
-                    em[k] = [tid]
-                    fresh.append(k)
-                else:
-                    ts.append(tid)
-            em[z * N + m] = [t, tid2]
-            fresh.append(z * N + m)
-
-    def long_edges():
-        long = live & (lengths > length_threshold)
-        return long if split_boundary else long & interior
-
-    n_splits = 0
-    rounds = 0
-    converged = False
-    for rounds in range(1, max_rounds + 1):
-        tagged = np.nonzero(long_edges())[0]
-        if not len(tagged):
-            rounds -= 1
-            converged = True
+    for rounds in range(max_rounds + 1):
+        lengths = _lengths(verts, adj.edges[:, 0], adj.edges[:, 1])
+        long = lengths > length_threshold
+        if not split_boundary:
+            long &= adj.edge_count == 2
+        if rounds == max_rounds or not long.any():
             break
-        tagged = tagged[np.lexsort((ekeys[tagged], -lengths[tagged]))]
-        # the end points of every tagged edge exist at the start of the round
-        a, b = np.divmod(ekeys[tagged], N)
-        mid = (verts[a] + verts[b]) / 2.0
-        n0, fresh = len(verts), []
-        for i, edge in enumerate(ekeys[tagged].tolist()):
-            split(edge, n0 + i, fresh)
-        n_splits += len(tagged)
-        verts = np.concatenate([verts, mid])
-        live[tagged] = False
-        new = np.asarray(fresh, dtype=np.int64)
-        ekeys = np.concatenate([ekeys, new])
-        lengths = np.concatenate([lengths, _lengths(verts, *np.divmod(new, N))])
-        interior = np.concatenate([interior, np.array([len(em[k]) == 2 for k in fresh], bool)])
-        live = np.concatenate([live, np.ones(len(new), dtype=bool)])
-    else:
-        converged = not long_edges().any()
+        # edge ids ascend by vertex pair, so a stable sort breaks ties by it
+        tagged = np.nonzero(long)[0]
+        tagged = tagged[np.argsort(-lengths[tagged], kind="stable")]
+        mid = np.full(len(long), -1)
+        mid[tagged] = len(verts) + np.arange(len(tagged))
+        a, b = adj.edges[tagged].T
+        verts = np.concatenate([verts, (verts[a] + verts[b]) / 2.0])
+        # m3[t, k]: the midpoint on the side from corner k of triangle t
+        m3 = mid[adj.half_edge.reshape(-1, 3)]
+        j = np.where(m3 < 0, len(verts), m3).argmin(axis=1)
+        t = np.arange(len(tris))
+        halves, r = _bisect(tris, j, m3[t, j])
+        # (x, m, z) may still hold (z, x) as its side 2, (m, y, z) may
+        # hold (y, z) as its side 1
+        quarters, _ = _bisect(tris, 2, m3[t, (j + 2) % 3])
+        rest, _ = _bisect(halves, 1, m3[r, (j[r] + 1) % 3])
+        tris = np.concatenate([tris, halves, quarters, rest])
+        adj = Adjacency(Triangulation(verts, tris))
 
-    inner = live & interior
+    inner = adj.edge_count == 2
     max_int = float(lengths[inner].max()) if inner.any() else 0.0
+    # each split adds one midpoint
     n_new = len(verts) - patch.tri.n_vertices
     refined = Patch.from_local(
-        verts, np.asarray(tris, dtype=np.int64),
+        verts, tris,
         np.concatenate([patch.global_vertices, np.full(n_new, -1, dtype=np.int64)]),
     )
     return refined, RefineReport(
-        rounds=rounds, splits=n_splits, max_interior_edge=max_int,
-        converged=converged,
+        rounds=rounds, splits=n_new, max_interior_edge=max_int,
+        converged=not long.any(),
     )

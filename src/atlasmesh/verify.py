@@ -170,6 +170,8 @@ def _fit_slope(hs, errs):
 
 
 def convergence_study(scheme, kind, resolutions=(16, 24, 32, 48, 64, 96, 128), seed=1):
+    if len(set(resolutions)) < 2:
+        raise MeshError("a convergence slope needs at least two distinct resolutions")
     levels = []
     for n in resolutions:
         mesh = build_square_mesh(kind, n, seed=seed)

@@ -117,6 +117,20 @@ def test_atlas_rejects_bad_refine_threshold(cube_file, tmp_path, capsys, thresho
     assert not out.exists()
 
 
+def test_atlas_rejects_negative_refine_rounds(cube_file, tmp_path, capsys):
+    out = tmp_path / "atlas.msh"
+    message = _mesh_error(capsys, ["atlas", str(cube_file), "--refine-rounds", "-1",
+                                   "-o", str(out)])
+    assert "refinement rounds must be at least 0" in message
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("resolutions", ["16", "16,16"])
+def test_convergence_rejects_a_single_resolution(capsys, resolutions):
+    message = _mesh_error(capsys, ["convergence", "--resolutions", resolutions])
+    assert "at least two distinct resolutions" in message
+
+
 def test_readme_names_every_flag():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))

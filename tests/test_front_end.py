@@ -3,7 +3,8 @@
 The reference functions below are the dict implementations of adjacency,
 boundary loops, feature detection, segmentation, welding and longest-edge
 bisection.  The array code must reproduce them exactly: the same edges,
-loops, labels, angles and coordinates bit for bit, and the same errors.
+loops, labels, angles and coordinates bit for bit, the refined triangles
+as a set of rows, and the same errors.
 """
 
 import numpy as np
@@ -411,7 +412,8 @@ def test_weld_merges_by_distance_not_by_grid_cell():
 def test_bisection_equals_dict_code(build, split_boundary):
     patch = Patch(build(), np.arange(build().n_triangles))
     assert default_threshold(patch) == ref_default_threshold(patch)
-    for thr, rounds in ((None, 10), (0.5 * ref_default_threshold(patch), 3)):
+    half = 0.5 * ref_default_threshold(patch)
+    for thr, rounds in ((None, 10), (half, 3), (half, 1), (half, 0)):
         refined, rep = longest_edge_bisection(
             patch, length_threshold=thr, max_rounds=rounds,
             split_boundary=split_boundary,
@@ -421,6 +423,8 @@ def test_bisection_equals_dict_code(build, split_boundary):
             split_boundary=split_boundary,
         )
         assert np.array_equal(_bits(refined.tri.vertices), _bits(v))
-        assert np.array_equal(refined.tri.triangles, t)
+        # the same triangles; their numbering is not part of the result
+        assert len(refined.tri.triangles) == len(t)
+        assert set(map(tuple, refined.tri.triangles.tolist())) == set(map(tuple, t.tolist()))
         assert np.array_equal(refined.global_vertices, g)
         assert (rep.rounds, rep.splits, rep.max_interior_edge, rep.converged) == report

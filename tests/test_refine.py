@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from fixtures import cylinder_shell, random_disk_fixture
+from fixtures import concave_hole_plate, cylinder_shell, random_disk_fixture
 
 from atlasmesh.mesh import MeshError, validate
+from atlasmesh.param import ParamOptions, parametrize
 from atlasmesh.patch import Patch
 from atlasmesh.refine import default_threshold, longest_edge_bisection
 
@@ -66,3 +67,30 @@ def test_threshold_validation():
     patch = _full_patch(cylinder_shell())
     with pytest.raises(MeshError):
         longest_edge_bisection(patch, length_threshold=0.0)
+    with pytest.raises(MeshError, match="rounds must be at least 0"):
+        longest_edge_bisection(patch, max_rounds=-1)
+
+
+ORDER_CASES = [
+    (cylinder_shell, "auto"),
+    (concave_hole_plate, "auto"),
+    (concave_hole_plate, "neumann"),
+] + [(lambda s=s: random_disk_fixture(s), "auto") for s in range(4)]
+
+
+@pytest.mark.parametrize("scheme", ["mvc", "fem"])
+@pytest.mark.parametrize("build, hole_policy", ORDER_CASES,
+                         ids=["cylinder", "plate-auto", "plate-neumann"]
+                         + [f"disk{s}" for s in range(4)])
+def test_parametrization_ignores_triangle_order(build, hole_policy, scheme):
+    # refinement does not promise a triangle numbering, so the map of a
+    # refined patch must not depend on it
+    refined, rep = longest_edge_bisection(_full_patch(build()))
+    assert rep.splits > 0
+    v, tris, g = refined.tri.vertices, refined.tri.triangles, refined.global_vertices
+    opt = ParamOptions(scheme=scheme, hole_policy=hole_policy)
+    a = parametrize(refined, opt)
+    b = parametrize(Patch.from_local(v, tris[::-1], g), opt)
+    assert np.array_equal(a.uv.view(np.int64), b.uv.view(np.int64))
+    assert a.residual == b.residual
+
