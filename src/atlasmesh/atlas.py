@@ -121,8 +121,8 @@ def make_parametrizable(patches, max_triangles, prepare):
     which returns (refined part, parametrization, refine report); the
     parametrization must pass `split_reason`.  Parts are checked
     depth-first, so the splits of one patch end before the next patch
-    starts.  Returns (parts, the `prepare` result of each part, split
-    records); parts are ordered by smallest contained model triangle id.
+    starts.  Returns (the `prepare` result of each part, split records);
+    parts are ordered by smallest contained model triangle id.
     """
     done = []
     records: list[SplitRecord] = []
@@ -138,7 +138,7 @@ def make_parametrizable(patches, max_triangles, prepare):
             prepared = prepare(p)
             reason = split_reason(prepared[1])
         if reason is None:
-            done.append((p, prepared))
+            done.append(prepared)
             continue
         if p.n_triangles < 2:
             raise MeshError(
@@ -147,7 +147,7 @@ def make_parametrizable(patches, max_triangles, prepare):
         records.append(SplitRecord(patch_size=p.n_triangles, reason=reason))
         queue.extend(bisect_patch(p))
     done.sort(key=lambda d: int(d[0].triangle_ids.min()))
-    return [d[0] for d in done], [d[1] for d in done], records
+    return done, records
 
 
 # ---------------------------------------------------------------------------

@@ -115,7 +115,7 @@ def _atlas_mesh(atlas: AtlasResult) -> Triangulation:
     """Input geometry with one patch tag per triangle."""
     tags = np.zeros(atlas.model.n_triangles, dtype=np.int64)
     for fid, face in enumerate(atlas.brep.faces):
-        # brep faces keep the pre-refinement patches with model triangle ids
+        # a refined triangle names the model triangle it lies in
         tags[face.patch.triangle_ids] = fid + 1
     return Triangulation(atlas.model.vertices, atlas.model.triangles,
                          patch_tags=tags)

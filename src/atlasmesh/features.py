@@ -13,9 +13,9 @@ from .mesh import Adjacency, MeshError, Triangulation, first_occurrence
 class FeatureEdgeSet:
     """Edges tagged as model features, with their dihedral angles."""
 
+    threshold_deg: float
     edges: set = field(default_factory=set)  # sorted vertex pairs
     angles: dict = field(default_factory=dict)  # edge -> degrees
-    threshold_deg: float = 40.0
 
 
 @dataclass
@@ -30,7 +30,7 @@ class PatchSet:
 
 
 def detect_feature_edges(
-    tri: Triangulation, adj: Adjacency, threshold_deg: float = 40.0
+    tri: Triangulation, adj: Adjacency, threshold_deg: float
 ) -> FeatureEdgeSet:
     """Tag interior edges whose adjacent normals exceed the angle threshold.
 

@@ -74,7 +74,7 @@ def corner_weights(angles, sides, scheme):
     raise MeshError(f"unknown scheme: {scheme}")
 
 
-def scheme_weight_matrix(vertices, triangles, scheme="mvc"):
+def scheme_weight_matrix(vertices, triangles, scheme):
     """Sparse matrix W with W[i, j] = lambda_ij summed over adjacent triangles.
 
     `vertices` may be 3D or 2D.  MVC rows are generally asymmetric, FEM
@@ -96,6 +96,13 @@ def scheme_weight_matrix(vertices, triangles, scheme="mvc"):
     W = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
     W.sum_duplicates()
     return W
+
+
+@dataclass
+class ParamOptions:
+    scheme: str = "mvc"
+    hole_policy: str = "auto"
+    hole_threshold: int = 100
 
 
 @dataclass
@@ -171,12 +178,7 @@ def _virtual_hole_triangles(patch: Patch, loop):
     return alpha, beta, r, base
 
 
-def assemble_system(
-    patch: Patch,
-    scheme="mvc",
-    hole_policy="auto",
-    hole_threshold=100,
-) -> AssembledSystem:
+def assemble_system(patch: Patch, opt: ParamOptions) -> AssembledSystem:
     """Build the sparse linear system for both disk coordinates.
 
     One row per non-Dirichlet vertex (holes included), plus one auxiliary
@@ -185,17 +187,17 @@ def assemble_system(
     """
     import scipy.sparse as sp
 
-    if hole_policy not in ("auto", "neumann", "fill"):
-        raise MeshError(f"unknown hole policy: {hole_policy}")
+    if opt.hole_policy not in ("auto", "neumann", "fill"):
+        raise MeshError(f"unknown hole policy: {opt.hole_policy}")
     outer_loop, boundary_uv = apply_boundary(patch)
     n = patch.tri.n_vertices
-    W = scheme_weight_matrix(patch.tri.vertices, patch.tri.triangles, scheme)
+    W = scheme_weight_matrix(patch.tri.vertices, patch.tri.triangles, opt.scheme)
 
     hole_loops = [k for k in range(len(patch.loops)) if k != outer_loop]
     fill = []
-    if hole_policy != "neumann":
+    if opt.hole_policy != "neumann":
         for k in hole_loops:
-            if hole_policy == "fill" or len(patch.loops[k]) <= hole_threshold:
+            if opt.hole_policy == "fill" or len(patch.loops[k]) <= opt.hole_threshold:
                 fill.append(k)
 
     unknown = np.full(n, -1, dtype=np.int64)
@@ -235,7 +237,7 @@ def assemble_system(
     for k in fill:
         loop = np.asarray(patch.loops[k], dtype=np.int64)
         alpha, beta, r_hole, base = _virtual_hole_triangles(patch, loop)
-        w = np.column_stack(corner_weights((alpha, beta, beta), (base, r_hole, r_hole), scheme))
+        w = np.column_stack(corner_weights((alpha, beta, beta), (base, r_hole, r_hole), opt.scheme))
         vj, vj1 = loop, np.roll(loop, -1)
         fan = np.column_stack([np.full(len(loop), center_ids[k]), unknown[vj], unknown[vj1]])
         # the center's vertex slot is never read: its column is never Dirichlet
@@ -318,13 +320,6 @@ def _iterative_fallback(A, rhs):
     return np.column_stack(cols)
 
 
-@dataclass
-class ParamOptions:
-    scheme: str = "mvc"
-    hole_policy: str = "auto"
-    hole_threshold: int = 100
-
-
 def parametrize(patch: Patch, options: ParamOptions | None = None) -> Parametrization:
     """Boundary placement, assembly, solve and injectivity check in one go."""
     opt = options or ParamOptions()
@@ -333,8 +328,4 @@ def parametrize(patch: Patch, options: ParamOptions | None = None) -> Parametriz
         raise MeshError(
             f"patch not parametrizable (g={info.g}, b={info.b}); split it first"
         )
-    system = assemble_system(
-        patch, scheme=opt.scheme, hole_policy=opt.hole_policy,
-        hole_threshold=opt.hole_threshold,
-    )
-    return solve(patch, system)
+    return solve(patch, assemble_system(patch, opt))

@@ -13,11 +13,13 @@ class Patch:
     Attributes
     ----------
     triangle_ids : ndarray
-        Global triangle ids, sorted.
+        Model triangle id of each local triangle.  Sorted on a patch cut
+        from the model; on a refined patch, the model triangle each
+        refined triangle lies in.
     tri : Triangulation
         Local triangulation (local vertex indices).
     global_vertices : ndarray
-        Local index -> global vertex id.
+        Local index -> global vertex id (-1 for a refinement midpoint).
     loops : list of list of int
         Boundary loops as local vertex cycles, surface to the left.
     """
@@ -36,22 +38,11 @@ class Patch:
         )
 
     @classmethod
-    def from_local(cls, vertices, triangles, global_vertices=None):
-        """Build a patch directly from local arrays.
-
-        Used by refinement, where new vertices have no model counterpart
-        (their global id is -1).
-        """
+    def _refined(cls, tri, adj, loops, global_vertices, triangle_ids):
+        """The patch refinement builds, from connectivity it already holds."""
         self = cls.__new__(cls)
-        self.tri = Triangulation(vertices, triangles)
-        if global_vertices is None:
-            global_vertices = np.full(self.tri.n_vertices, -1, dtype=np.int64)
-        self.global_vertices = np.asarray(global_vertices, dtype=np.int64)
-        self.triangle_ids = np.arange(self.tri.n_triangles, dtype=np.int64)
-        self.adj = Adjacency(self.tri)
-        self.loops = (
-            boundary_loops(self.tri, self.adj) if self.adj.boundary_edges else []
-        )
+        self.tri, self.adj, self.loops = tri, adj, loops
+        self.global_vertices, self.triangle_ids = global_vertices, triangle_ids
         return self
 
     def subpatch(self, local_triangle_ids):
@@ -60,15 +51,9 @@ class Patch:
         Model back-references (global vertex and triangle ids) are carried
         through, so curves built later still name model vertices.
         """
-        ids = np.sort(np.asarray(local_triangle_ids, dtype=np.int64))
-        tris = self.tri.triangles[ids]
-        used = np.unique(tris)
-        remap = np.full(self.tri.n_vertices, -1, dtype=np.int64)
-        remap[used] = np.arange(len(used))
-        sub = Patch.from_local(
-            self.tri.vertices[used], remap[tris], self.global_vertices[used]
-        )
-        sub.triangle_ids = self.triangle_ids[ids]
+        sub = Patch(self.tri, local_triangle_ids)
+        sub.global_vertices = self.global_vertices[sub.global_vertices]
+        sub.triangle_ids = self.triangle_ids[sub.triangle_ids]
         return sub
 
     @property

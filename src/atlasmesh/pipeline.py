@@ -60,14 +60,13 @@ def build_atlas(model: Triangulation, opt: PipelineOptions | None = None) -> Atl
                 None if opt.refine_threshold == "auto" else float(opt.refine_threshold)
             )
             p, report = longest_edge_bisection(
-                p, length_threshold=thr, max_rounds=opt.refine_rounds,
-                split_boundary=False,
+                p, length_threshold=thr, max_rounds=opt.refine_rounds
             )
         return p, parametrize(p, opt), report
 
     seeds = [Patch(model, segmentation.triangles_of(pid)) for pid in range(segmentation.n_patches)]
-    patches, results, split_records = make_parametrizable(seeds, opt.max_triangles, prepare)
-    # the BREP takes the unrefined parts: refinement keeps their boundary
+    results, split_records = make_parametrizable(seeds, opt.max_triangles, prepare)
+    patches = [r[0] for r in results]
     brep = build_brep(model, patches)
 
     summary = {
@@ -92,8 +91,8 @@ def build_atlas(model: Triangulation, opt: PipelineOptions | None = None) -> Atl
         "atlas_seconds": time.perf_counter() - t0,
     }
     return AtlasResult(
-        model=model, patches=[r[0] for r in results],
-        params=[r[1] for r in results], brep=brep, summary=summary,
+        model=model, patches=patches, params=[r[1] for r in results],
+        brep=brep, summary=summary,
     )
 
 
@@ -158,6 +157,28 @@ def face_sample_loops(atlas: AtlasResult, face_id, curves):
     return loops
 
 
+def _validation_error(out: Triangulation, report):
+    """A MeshError naming each failed output check, its triangles and faces."""
+    adj = Adjacency(out)
+    # the two triangles of an oriented edge traverse it in opposite directions
+    forward = np.bincount(
+        adj.half_edge, weights=out.triangles.ravel() < out.triangles[:, [1, 2, 0]].ravel(),
+        minlength=adj.n_edges,
+    )
+    bad_edges = {
+        "manifold": adj.edge_count > 2,
+        "oriented": (adj.edge_count == 2) & (forward != 1),
+    }
+    faults = {name: np.unique(np.flatnonzero(bad[adj.half_edge]) // 3)
+              for name, bad in bad_edges.items()}
+    faults["degenerate"] = np.asarray(report.degenerate_triangles, dtype=np.int64)
+    parts = [
+        f"{name} (triangles {ids[:10].tolist()} on faces {np.unique(out.patch_tags[ids]).tolist()})"
+        for name, ids in faults.items() if len(ids)
+    ]
+    return MeshError("remeshed output failed validation: " + "; ".join(parts))
+
+
 def remesh_model(model: Triangulation, opt: PipelineOptions | None = None):
     """Full pipeline; returns (output mesh, summary, atlas result)."""
     opt = opt or PipelineOptions()
@@ -178,7 +199,7 @@ def remesh_model(model: Triangulation, opt: PipelineOptions | None = None):
 
     out_report = validate(out)
     if not out_report.ok:
-        raise MeshError("remeshed output failed validation")
+        raise _validation_error(out, out_report)
     summary = dict(atlas.summary)
     summary.update(
         {

@@ -1,8 +1,9 @@
-"""Longest-edge bisection pre-refinement.
+"""Longest-edge bisection pre-refinement (Rivara, IJNME 1984).
 
 Splits never move existing vertices: every new vertex is the exact
-midpoint of a surface edge, so the geometry (and total area) is
-unchanged and the refined patch still lies on the input triangulation.
+midpoint of an interior surface edge, so the geometry (and total area)
+is unchanged, the refined patch still lies on the input triangulation,
+and its boundary is the input patch's, shared with its neighbours.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import Adjacency, MeshError, Triangulation
+from .param import loop_lengths
 from .patch import Patch
 
 
@@ -38,11 +40,7 @@ def _lengths(vertices, a, b):
 def default_threshold(patch: Patch):
     """Mean boundary-edge length; falls back to mean edge length if closed."""
     if patch.loops:
-        lens = []
-        for loop in patch.loops:
-            pts = patch.tri.vertices[np.asarray(loop)]
-            lens.append(np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1))
-        return float(np.concatenate(lens).mean())
+        return float(np.concatenate([loop_lengths(patch, lp) for lp in patch.loops]).mean())
     # edges in order of first occurrence in the triangle list, each length
     # sqrt(d @ d) as np.linalg.norm takes it for one vector
     _, first = np.unique(patch.adj.half_edge, return_index=True)
@@ -66,22 +64,19 @@ def _bisect(tris, side, mid):
     return np.column_stack([m, y, z]), r
 
 
-def longest_edge_bisection(
-    patch: Patch,
-    length_threshold=None,
-    max_rounds=10,
-    split_boundary=True,
-):
-    """Split long edges in rounds until interior edges fit the threshold.
+def longest_edge_bisection(patch: Patch, length_threshold=None, max_rounds=10):
+    """Split long interior edges in rounds until they fit the threshold.
 
-    Each round takes the edges longer than the threshold and numbers
-    their midpoints longest first, ties by vertex pair.  Every triangle
-    with a midpoint is bisected along its lowest-numbered one; each half
-    then holds at most one more midpoint and is bisected along it.  Both
-    triangles of a split edge are bisected, so no hanging nodes appear.
-    With split_boundary=False boundary edges are never split.  The patch
+    Each round takes the interior edges longer than the threshold and
+    numbers their midpoints longest first, ties by vertex pair.  Every
+    triangle with a midpoint is bisected along its lowest-numbered one;
+    each half then holds at most one more midpoint and is bisected along
+    it.  Both triangles of a split edge are bisected, so no hanging nodes
+    appear.  Boundary edges are never split, so the refined patch keeps
+    the input's boundary loops, in the same local vertex ids.  The patch
     must be edge-manifold.  The numbering of the refined triangles is
-    not part of the result.
+    not part of the result; each carries the model triangle it lies in
+    as its `triangle_ids` entry.
 
     Returns (refined Patch, RefineReport).
     """
@@ -93,24 +88,23 @@ def longest_edge_bisection(
         )
     if max_rounds < 0:
         raise MeshError(f"refinement rounds must be at least 0, got {max_rounds}")
-    verts, tris, adj = patch.tri.vertices, patch.tri.triangles.copy(), patch.adj
+    tri, adj, parent = patch.tri, patch.adj, patch.triangle_ids
     if not adj.is_manifold():
         raise MeshError("refinement needs an edge-manifold patch")
 
     for rounds in range(max_rounds + 1):
-        lengths = _lengths(verts, adj.edges[:, 0], adj.edges[:, 1])
-        long = lengths > length_threshold
-        if not split_boundary:
-            long &= adj.edge_count == 2
+        lengths = _lengths(tri.vertices, adj.edges[:, 0], adj.edges[:, 1])
+        long = (lengths > length_threshold) & (adj.edge_count == 2)
         if rounds == max_rounds or not long.any():
             break
         # edge ids ascend by vertex pair, so a stable sort breaks ties by it
         tagged = np.nonzero(long)[0]
         tagged = tagged[np.argsort(-lengths[tagged], kind="stable")]
         mid = np.full(len(long), -1)
-        mid[tagged] = len(verts) + np.arange(len(tagged))
+        mid[tagged] = tri.n_vertices + np.arange(len(tagged))
         a, b = adj.edges[tagged].T
-        verts = np.concatenate([verts, (verts[a] + verts[b]) / 2.0])
+        verts = np.concatenate([tri.vertices, (tri.vertices[a] + tri.vertices[b]) / 2.0])
+        tris = tri.triangles.copy()
         # m3[t, k]: the midpoint on the side from corner k of triangle t
         m3 = mid[adj.half_edge.reshape(-1, 3)]
         j = np.where(m3 < 0, len(verts), m3).argmin(axis=1)
@@ -118,18 +112,21 @@ def longest_edge_bisection(
         halves, r = _bisect(tris, j, m3[t, j])
         # (x, m, z) may still hold (z, x) as its side 2, (m, y, z) may
         # hold (y, z) as its side 1
-        quarters, _ = _bisect(tris, 2, m3[t, (j + 2) % 3])
-        rest, _ = _bisect(halves, 1, m3[r, (j[r] + 1) % 3])
+        quarters, q = _bisect(tris, 2, m3[t, (j + 2) % 3])
+        rest, s = _bisect(halves, 1, m3[r, (j[r] + 1) % 3])
         tris = np.concatenate([tris, halves, quarters, rest])
-        adj = Adjacency(Triangulation(verts, tris))
+        parent = np.concatenate([parent, parent[r], parent[q], parent[r[s]]])
+        tri = Triangulation(verts, tris)
+        adj = Adjacency(tri)
 
     inner = adj.edge_count == 2
     max_int = float(lengths[inner].max()) if inner.any() else 0.0
     # each split adds one midpoint
-    n_new = len(verts) - patch.tri.n_vertices
-    refined = Patch.from_local(
-        verts, tris,
+    n_new = tri.n_vertices - patch.tri.n_vertices
+    refined = Patch._refined(
+        tri, adj, patch.loops,
         np.concatenate([patch.global_vertices, np.full(n_new, -1, dtype=np.int64)]),
+        parent,
     )
     return refined, RefineReport(
         rounds=rounds, splits=n_new, max_interior_edge=max_int,

@@ -20,6 +20,7 @@ from atlasmesh.features import detect_feature_edges, segment_patches
 from atlasmesh.mesh import Adjacency, MeshError, Triangulation
 from atlasmesh.patch import Patch
 from atlasmesh.pipeline import PipelineOptions, build_atlas
+from atlasmesh.refine import default_threshold, longest_edge_bisection
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import models  # noqa: E402
@@ -47,7 +48,8 @@ def test_bisect_balanced_and_connected():
 
 def test_sphere_splits_into_disks():
     patch = _full_patch(sphere(2))
-    parts, _, records = make_parametrizable([patch], 100_000, _flatten)
+    prepared, records = make_parametrizable([patch], 100_000, _flatten)
+    parts = [d[0] for d in prepared]
     assert len(parts) >= 2
     assert any(r.reason == "genus" for r in records)
     for part in parts:
@@ -57,8 +59,8 @@ def test_sphere_splits_into_disks():
 
 def test_torus_splits_until_genus_zero():
     patch = _full_patch(torus())
-    parts, _, _ = make_parametrizable([patch], 100_000, _flatten)
-    for part in parts:
+    prepared, _ = make_parametrizable([patch], 100_000, _flatten)
+    for part, _, _ in prepared:
         info, ok = part.topology()
         assert ok and info.g == 0
 
@@ -66,17 +68,17 @@ def test_torus_splits_until_genus_zero():
 def test_size_limit_forces_split():
     mesh = cylinder_shell(n=16, rows=4)
     patch = _full_patch(mesh)
-    parts, _, records = make_parametrizable([patch], patch.n_triangles // 2, _flatten)
-    assert len(parts) >= 2
+    prepared, records = make_parametrizable([patch], patch.n_triangles // 2, _flatten)
+    assert len(prepared) >= 2
     assert any(r.reason == "size" for r in records)
-    assert sum(p.n_triangles for p in parts) == patch.n_triangles
+    assert sum(p.n_triangles for p, _, _ in prepared) == patch.n_triangles
 
 
 def test_disk_patch_untouched():
     mesh = concave_hole_plate()
     patch = _full_patch(mesh)
-    parts, _, records = make_parametrizable([patch], 100_000, _flatten)
-    assert len(parts) == 1
+    prepared, records = make_parametrizable([patch], 100_000, _flatten)
+    assert len(prepared) == 1
     assert records == []
 
 
@@ -167,7 +169,7 @@ def _parts(mesh, angle, max_triangles=100_000):
     adj = Adjacency(mesh)
     seg = segment_patches(mesh, adj, detect_feature_edges(mesh, adj, angle))
     seeds = [Patch(mesh, seg.triangles_of(pid)) for pid in range(seg.n_patches)]
-    return make_parametrizable(seeds, max_triangles, _flatten)[0]
+    return [d[0] for d in make_parametrizable(seeds, max_triangles, _flatten)[0]]
 
 
 def _bench_model(name, **params):
@@ -193,8 +195,10 @@ GRID_MODELS = {
 SPLIT_MODELS = ["cube", "sphere3", "torus", "cylinder", "plate", "disk0", "disk1"]
 
 
-def _assert_same_brep(mesh, parts):
-    new, ref = build_brep(mesh, parts), reference_build_brep(mesh, parts)
+def _assert_same_brep(mesh, parts, refined=None):
+    """`build_brep` of `refined` (default `parts`) equals the reference on `parts`."""
+    faces = parts if refined is None else refined
+    new, ref = build_brep(mesh, faces), reference_build_brep(mesh, parts)
     assert new.points == ref.points
     assert len(new.curves) == len(ref.curves)
     for curve, old in zip(new.curves, ref.curves):
@@ -202,7 +206,7 @@ def _assert_same_brep(mesh, parts):
         # the reference repeats a closed curve's start vertex at its end
         assert curve.vertices == (old.vertices[:-1] if old.closed else old.vertices)
     assert [f.loops for f in new.faces] == [f.loops for f in ref.faces]
-    assert [f.patch for f in new.faces] == parts
+    assert all(f.patch is p for f, p in zip(new.faces, faces, strict=True))
 
 
 def _reference_cases(name):
@@ -222,3 +226,17 @@ def _reference_cases(name):
 def test_brep_equals_the_reference(name):
     for mesh, parts in _reference_cases(name):
         _assert_same_brep(mesh, parts)
+
+
+@pytest.mark.parametrize("name", sorted(GRID_MODELS) + ["bowtie", "bowtie_flipped"])
+def test_brep_of_refined_parts_equals_the_reference(name):
+    # refinement keeps every part's boundary, so its BREP is the unrefined one
+    for mesh, parts in _reference_cases(name):
+        refined = [longest_edge_bisection(p, 0.5 * default_threshold(p))[0] for p in parts]
+        _assert_same_brep(mesh, parts, refined)
+
+
+@pytest.mark.parametrize("make", [cube, concave_hole_plate, torus])
+def test_brep_faces_hold_the_atlas_patches(make):
+    atlas = build_atlas(make(), PipelineOptions(refine_threshold="auto"))
+    assert all(f.patch is p for f, p in zip(atlas.brep.faces, atlas.patches, strict=True))

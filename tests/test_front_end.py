@@ -191,15 +191,16 @@ def ref_default_threshold(patch):
     return float(np.mean([np.linalg.norm(v[a] - v[b]) for a, b in em]))
 
 
-def ref_bisection(patch, length_threshold=None, max_rounds=10,
-                  split_boundary=True):
-    """Returns (vertices, triangles, global ids, (rounds, splits, max, converged))."""
+def ref_bisection(patch, length_threshold=None, max_rounds=10):
+    """Returns (vertices, triangles, global ids, model triangle of each
+    triangle, (rounds, splits, max, converged))."""
     if length_threshold is None:
         length_threshold = ref_default_threshold(patch)
     verts = [tuple(v) for v in patch.tri.vertices]
     tris = [tuple(int(v) for v in t) for t in patch.tri.triangles]
     em = _edge_map(tris)
     gverts = list(int(g) for g in patch.global_vertices)
+    parent = patch.triangle_ids.tolist()
 
     def length(edge):
         pa, pb = verts[edge[0]], verts[edge[1]]
@@ -207,7 +208,7 @@ def ref_bisection(patch, length_threshold=None, max_rounds=10,
                              + (pa[2] - pb[2]) ** 2))
 
     def splittable(edge):
-        return split_boundary or len(em[edge]) != 1
+        return len(em[edge]) != 1
 
     def split(edge):
         a, b = edge
@@ -228,6 +229,7 @@ def ref_bisection(patch, length_threshold=None, max_rounds=10,
             tris[t] = t1
             tid2 = len(tris)
             tris.append(t2)
+            parent.append(parent[t])
             for tid, tt in ((t, t1), (tid2, t2)):
                 for u, v in ((tt[0], tt[1]), (tt[1], tt[2]), (tt[2], tt[0])):
                     em.setdefault((u, v) if u < v else (v, u), []).append(tid)
@@ -249,7 +251,8 @@ def ref_bisection(patch, length_threshold=None, max_rounds=10,
         converged = not any(splittable(e) and length(e) > length_threshold for e in em)
     max_int = max((length(e) for e in em if len(em[e]) == 2), default=0.0)
     return (np.asarray(verts), np.asarray(tris, dtype=np.int64),
-            np.asarray(gverts, dtype=np.int64), (rounds, n_splits, max_int, converged))
+            np.asarray(gverts, dtype=np.int64), np.asarray(parent, dtype=np.int64),
+            (rounds, n_splits, max_int, converged))
 
 
 # -- cases ---------------------------------------------------------------------
@@ -407,24 +410,21 @@ def test_weld_merges_by_distance_not_by_grid_cell():
     assert np.array_equal(_bits(v), _bits(rv)) and np.array_equal(t, rt)
 
 
-@pytest.mark.parametrize("split_boundary", [True, False])
-@pytest.mark.parametrize("build", BUILDS, ids=IDS)
-def test_bisection_equals_dict_code(build, split_boundary):
+# "-False": boundary edges are not split; the suffix keeps these ids
+# comparable with earlier runs of the suite
+@pytest.mark.parametrize("build", BUILDS, ids=[f"{name}-False" for name in IDS])
+def test_bisection_equals_dict_code(build):
     patch = Patch(build(), np.arange(build().n_triangles))
     assert default_threshold(patch) == ref_default_threshold(patch)
     half = 0.5 * ref_default_threshold(patch)
     for thr, rounds in ((None, 10), (half, 3), (half, 1), (half, 0)):
-        refined, rep = longest_edge_bisection(
-            patch, length_threshold=thr, max_rounds=rounds,
-            split_boundary=split_boundary,
-        )
-        v, t, g, report = ref_bisection(
-            patch, length_threshold=thr, max_rounds=rounds,
-            split_boundary=split_boundary,
-        )
+        refined, rep = longest_edge_bisection(patch, length_threshold=thr, max_rounds=rounds)
+        v, t, g, p, report = ref_bisection(patch, length_threshold=thr, max_rounds=rounds)
         assert np.array_equal(_bits(refined.tri.vertices), _bits(v))
-        # the same triangles; their numbering is not part of the result
-        assert len(refined.tri.triangles) == len(t)
-        assert set(map(tuple, refined.tri.triangles.tolist())) == set(map(tuple, t.tolist()))
+        # the same triangles in the same model triangles; their numbering
+        # is not part of the result
+        rows = np.column_stack([refined.tri.triangles, refined.triangle_ids]).tolist()
+        assert len(rows) == len(t)
+        assert set(map(tuple, rows)) == set(map(tuple, np.column_stack([t, p]).tolist()))
         assert np.array_equal(refined.global_vertices, g)
         assert (rep.rounds, rep.splits, rep.max_interior_edge, rep.converged) == report

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fixtures import concave_hole_plate, cube, random_disk_fixture
+from fixtures import concave_hole_plate, cube, cylinder_shell, random_disk_fixture
+
+from atlasmesh import param as param_module
 
 from atlasmesh.mesh import MeshError, Triangulation
 from atlasmesh.param import (
@@ -210,7 +213,7 @@ def test_closed_surface_rejected():
 def test_hole_fill_adds_center_unknown():
     m = concave_hole_plate()
     patch = Patch(m, np.arange(m.n_triangles))
-    system = assemble_system(patch, hole_policy="fill")
+    system = assemble_system(patch, ParamOptions(hole_policy="fill"))
     assert len(system.center_ids) == 1
     param = solve(patch, system)
     assert param.injective
@@ -221,9 +224,9 @@ def test_hole_fill_adds_center_unknown():
 def test_hole_policy_auto_threshold():
     m = concave_hole_plate()
     patch = Patch(m, np.arange(m.n_triangles))
-    filled = assemble_system(patch, hole_policy="auto", hole_threshold=100)
+    filled = assemble_system(patch, ParamOptions(hole_policy="auto", hole_threshold=100))
     assert len(filled.center_ids) == 1
-    left = assemble_system(patch, hole_policy="auto", hole_threshold=2)
+    left = assemble_system(patch, ParamOptions(hole_policy="auto", hole_threshold=2))
     assert len(left.center_ids) == 0
 
 
@@ -231,7 +234,7 @@ def test_unknown_hole_policy():
     m = concave_hole_plate()
     patch = Patch(m, np.arange(m.n_triangles))
     with pytest.raises(MeshError):
-        assemble_system(patch, hole_policy="maybe")
+        assemble_system(patch, ParamOptions(hole_policy="maybe"))
 
 
 def test_outer_loop_is_longest():
@@ -331,9 +334,39 @@ def _assembly_cases():
 def test_assembly_equals_entry_loop():
     for mesh, scheme, policy in _assembly_cases():
         patch = Patch(mesh, np.arange(mesh.n_triangles))
-        system = assemble_system(patch, scheme=scheme, hole_policy=policy)
+        system = assemble_system(patch, ParamOptions(scheme=scheme, hole_policy=policy))
         A, rhs = _loop_assembly(patch, scheme, policy)
         assert np.array_equal(system.A.indptr, A.indptr)
         assert np.array_equal(system.A.indices, A.indices)
         assert np.array_equal(system.A.data, A.data)
         assert np.array_equal(system.rhs, rhs)
+
+
+FALLBACK_CASES = {
+    "plate-auto": (concave_hole_plate, "auto"),
+    "plate-neumann": (concave_hole_plate, "neumann"),
+    "cylinder": (cylinder_shell, "auto"),
+    "disk0": (lambda: random_disk_fixture(0), "auto"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FALLBACK_CASES))
+def test_iterative_fallback_matches_the_direct_solve(monkeypatch, name):
+    make, policy = FALLBACK_CASES[name]
+    mesh = make()
+    patch = Patch(mesh, np.arange(mesh.n_triangles))
+    opt = ParamOptions(hole_policy=policy)
+    direct = parametrize(patch, opt)
+
+    def singular(A):
+        raise RuntimeError("Factor is exactly singular")
+
+    calls = []
+    fallback = param_module._iterative_fallback
+    monkeypatch.setattr(spla, "splu", singular)
+    monkeypatch.setattr(param_module, "_iterative_fallback",
+                        lambda *a: calls.append(1) or fallback(*a))
+    iterative = parametrize(patch, opt)
+    assert calls == [1]
+    assert iterative.injective
+    assert np.abs(iterative.uv - direct.uv).max() <= 1e-10

@@ -3,7 +3,7 @@ import pytest
 
 from fixtures import concave_hole_plate, cylinder_shell, random_disk_fixture
 
-from atlasmesh.mesh import MeshError, validate
+from atlasmesh.mesh import Adjacency, MeshError, Triangulation, boundary_loops, validate
 from atlasmesh.param import ParamOptions, parametrize
 from atlasmesh.patch import Patch
 from atlasmesh.refine import default_threshold, longest_edge_bisection
@@ -47,9 +47,7 @@ def test_no_split_when_threshold_large():
 def test_split_boundary_false_keeps_boundary_vertices():
     patch = _full_patch(cylinder_shell())
     n_before = {len(l) for l in patch.loops}
-    refined, _ = longest_edge_bisection(
-        patch, max_rounds=5, split_boundary=False
-    )
+    refined, _ = longest_edge_bisection(patch, max_rounds=5)
     assert {len(l) for l in refined.loops} == n_before
     # original vertices keep their global back-references
     kept = refined.global_vertices[refined.global_vertices >= 0]
@@ -85,12 +83,43 @@ ORDER_CASES = [
 def test_parametrization_ignores_triangle_order(build, hole_policy, scheme):
     # refinement does not promise a triangle numbering, so the map of a
     # refined patch must not depend on it
-    refined, rep = longest_edge_bisection(_full_patch(build()))
+    patch = _full_patch(build())
+    refined, rep = longest_edge_bisection(patch, 0.5 * default_threshold(patch))
     assert rep.splits > 0
-    v, tris, g = refined.tri.vertices, refined.tri.triangles, refined.global_vertices
+    v, tris = refined.tri.vertices, refined.tri.triangles
     opt = ParamOptions(scheme=scheme, hole_policy=hole_policy)
     a = parametrize(refined, opt)
-    b = parametrize(Patch.from_local(v, tris[::-1], g), opt)
+    b = parametrize(Patch(Triangulation(v, tris[::-1]), np.arange(len(tris))), opt)
     assert np.array_equal(a.uv.view(np.int64), b.uv.view(np.int64))
     assert a.residual == b.residual
 
+
+REFINED_CASES = {
+    "cylinder": cylinder_shell,
+    "plate": concave_hole_plate,
+    **{f"disk{s}": (lambda s=s: random_disk_fixture(s)) for s in range(4)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFINED_CASES))
+def test_refined_patch_holds_its_own_connectivity(name):
+    mesh = REFINED_CASES[name]()
+    patch = _full_patch(mesh)
+    refined, rep = longest_edge_bisection(patch, 0.5 * default_threshold(patch))
+    assert rep.splits > 0
+    fresh = Adjacency(refined.tri)
+    for attr in ("edges", "half_edge", "edge_count", "edge_tri"):
+        assert np.array_equal(getattr(refined.adj, attr), getattr(fresh, attr))
+    assert refined.adj.boundary_edges == fresh.boundary_edges
+    assert refined.loops == boundary_loops(refined.tri, fresh)
+    # each refined triangle lies in the model triangle it names
+    parent = refined.triangle_ids
+    areas = np.bincount(parent, weights=refined.tri.triangle_areas(), minlength=mesh.n_triangles)
+    assert areas == pytest.approx(mesh.triangle_areas(), rel=1e-12)
+    p = mesh.vertices[mesh.triangles[parent]]
+    c = refined.tri.triangle_corners().mean(axis=1)
+    n = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+    for k in range(3):
+        a, b = p[:, (k + 1) % 3], p[:, (k + 2) % 3]
+        w = np.einsum("ij,ij->i", np.cross(b - a, c - a), n) / np.einsum("ij,ij->i", n, n)
+        assert w.min() >= -1e-12

@@ -1,3 +1,7 @@
+import re
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,7 +9,7 @@ from fixtures import concave_hole_plate, cube, cylinder_shell, random_disk_fixtu
 from scalar_reference import reference_mesh_patch_uv, scalar_angle
 
 from atlasmesh import pipeline, remesh
-from atlasmesh.mesh import MeshError, validate
+from atlasmesh.mesh import MeshError, Triangulation, validate
 from atlasmesh.param import ParamOptions, parametrize
 from atlasmesh.patch import Patch
 from atlasmesh.pipeline import (
@@ -27,6 +31,9 @@ from atlasmesh.remesh import (
     stitch,
 )
 from atlasmesh.verify import build_square_mesh
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import models  # noqa: E402
 
 
 def test_size_field_validation(monkeypatch):
@@ -445,3 +452,17 @@ def test_remesh_edge_lengths_near_target():
         np.linalg.norm(out.vertices[a] - out.vertices[b]) for a, b in edges
     ])
     assert 0.3 * h < np.median(lens) < 2.0 * h
+
+
+def test_failed_output_validation_names_checks_triangles_and_faces():
+    # the moved plate ends with zero-area triangles of interior vertices
+    # (ROADMAP item 3); once they are gone the run simply passes
+    mesh = concave_hole_plate()
+    moved = Triangulation(models.place(mesh.vertices, 77, 6), mesh.triangles)
+    try:
+        out, _, _ = remesh_model(moved, PipelineOptions(size=0.2))
+    except MeshError as exc:
+        assert re.search(r"failed validation: degenerate \(triangles \[[\d, ]+\] on faces \[0\]\)",
+                         str(exc))
+    else:
+        assert validate(out).ok
