@@ -178,130 +178,103 @@ def _virtual_hole_triangles(patch: Patch, loop):
     return alpha, beta, r, base
 
 
+def dirichlet_system(n, row, col, lam, fixed, value):
+    """A and rhs of a weighted-average scheme with Dirichlet nodes.
+
+    Coupling k makes node row[k] average node col[k] with weight lam[k]
+    (nodes 0..n-1); the `fixed` nodes hold the rows of `value`.  A free
+    row's coupling emits a diagonal triplet, then its off-diagonal twin,
+    or an rhs term if the column is fixed, in coupling order: the summed
+    entries are bit for bit those of a per-coupling loop.  Returns
+    (A, rhs, unknown), free nodes numbered ascending and fixed ones -1.
+    """
+    import scipy.sparse as sp
+
+    fixed = np.asarray(fixed, dtype=np.int64)
+    unknown = np.full(n, -1, dtype=np.int64)
+    free = np.setdiff1d(np.arange(n), fixed)
+    unknown[free] = np.arange(len(free))
+    keep = unknown[row] >= 0
+    r, j, lam = unknown[row[keep]], col[keep], lam[keep]
+    twin = unknown[j] >= 0
+    emit = np.column_stack([np.ones_like(twin), twin]).ravel()
+    rows = np.repeat(r, 2)[emit]
+    cols = np.column_stack([r, unknown[j]]).ravel()[emit]
+    vals = np.column_stack([lam, -lam]).ravel()[emit]
+    value = np.asarray(value, dtype=np.float64).reshape(len(fixed), -1)
+    at = np.zeros((n, value.shape[1]))
+    at[fixed] = value
+    rhs = np.zeros((len(free), value.shape[1]))
+    np.add.at(rhs, r[~twin], lam[~twin, None] * at[j[~twin]])
+    A = sp.coo_matrix((vals, (rows, cols)), shape=(len(free), len(free))).tocsc()
+    A.sum_duplicates()
+    return A, rhs, unknown
+
+
 def assemble_system(patch: Patch, opt: ParamOptions) -> AssembledSystem:
     """Build the sparse linear system for both disk coordinates.
 
     One row per non-Dirichlet vertex (holes included), plus one auxiliary
-    row per filled hole.  Assembly order is sorted by vertex id so runs
-    are bit reproducible.
+    row per filled hole: its pseudo-center, node n + c, averages the hole
+    vertices with the weights of the virtual isosceles fan, whose triangles
+    (center, vj, vj+1) also couple the hole vertices to the center.  The
+    couplings run in W's COO order, then hole by hole, so runs are bit
+    reproducible.
     """
-    import scipy.sparse as sp
-
     if opt.hole_policy not in ("auto", "neumann", "fill"):
         raise MeshError(f"unknown hole policy: {opt.hole_policy}")
     outer_loop, boundary_uv = apply_boundary(patch)
     n = patch.tri.n_vertices
-    W = scheme_weight_matrix(patch.tri.vertices, patch.tri.triangles, opt.scheme)
+    W = scheme_weight_matrix(patch.tri.vertices, patch.tri.triangles, opt.scheme).tocoo()
 
-    hole_loops = [k for k in range(len(patch.loops)) if k != outer_loop]
-    fill = []
-    if opt.hole_policy != "neumann":
-        for k in hole_loops:
-            if opt.hole_policy == "fill" or len(patch.loops[k]) <= opt.hole_threshold:
-                fill.append(k)
+    fill = [k for k in range(len(patch.loops)) if k != outer_loop and (
+        opt.hole_policy == "fill"
+        or opt.hole_policy == "auto" and len(patch.loops[k]) <= opt.hole_threshold)]
 
-    unknown = np.full(n, -1, dtype=np.int64)
-    free = np.setdiff1d(np.arange(n), np.fromiter(boundary_uv, dtype=np.int64, count=len(boundary_uv)))
-    unknown[free] = np.arange(len(free))
-    center_ids = {k: len(free) + c for c, k in enumerate(fill)}
-    m = len(free) + len(fill)
-
-    # W part, in W's COO order: each weight of a free row gives a diagonal
-    # triplet, followed by its off-diagonal twin when the neighbour is free;
-    # a Dirichlet neighbour moves to the rhs.  This triplet order keeps the
-    # summed entries of A bit for bit those of a per-entry loop.
-    Wc = W.tocoo()
-    keep = unknown[Wc.row] >= 0
-    r, j, lam = unknown[Wc.row[keep]], Wc.col[keep], Wc.data[keep]
-    twin = unknown[j] >= 0
-    emit = np.column_stack([np.ones_like(twin), twin]).ravel()
-    rows = [np.repeat(r, 2)[emit]]
-    cols = [np.column_stack([r, unknown[j]]).ravel()[emit]]
-    vals = [np.column_stack([lam, -lam]).ravel()[emit]]
-    uv_fixed = np.zeros((n, 2))
-    uv_fixed[list(boundary_uv)] = list(boundary_uv.values())
-    rhs = np.zeros((m, 2))
-    np.add.at(rhs, r[~twin], lam[~twin, None] * uv_fixed[j[~twin]])
-
-    # pseudo-center rows: the center averages the hole vertices with the
-    # weights of the virtual isosceles fan, and hole-vertex rows gain the
-    # corresponding couplings (center column plus the second ring-edge side).
-    # The fan triangle (center, vj, vj1) gives six couplings (row, column,
-    # vertex, weight) in PAIRS order:
-    #   center-vj, center-vj1, vj-center, vj-vj1, vj1-center, vj1-vj,
-    # the last four only for rows of free vertices.  Each gives a diagonal
-    # triplet, then an off-diagonal one, or an rhs term for a Dirichlet
-    # column; emitting them in this order keeps the summed entries of A and
-    # rhs bit for bit those of a per-coupling loop.
+    rows, cols, lams = [W.row], [W.col], [W.data]
     row_corner, col_corner = np.array(PAIRS).T
-    for k in fill:
+    for c, k in enumerate(fill):
         loop = np.asarray(patch.loops[k], dtype=np.int64)
         alpha, beta, r_hole, base = _virtual_hole_triangles(patch, loop)
-        w = np.column_stack(corner_weights((alpha, beta, beta), (base, r_hole, r_hole), opt.scheme))
-        vj, vj1 = loop, np.roll(loop, -1)
-        fan = np.column_stack([np.full(len(loop), center_ids[k]), unknown[vj], unknown[vj1]])
-        # the center's vertex slot is never read: its column is never Dirichlet
-        row, col = fan[:, row_corner], fan[:, col_corner]
-        vert = np.column_stack([vj, vj, vj1])[:, col_corner]
-        on = row >= 0
-        pair_on = np.stack([on, on & (col >= 0)], axis=-1)
-        rows.append(np.stack([row, row], axis=-1)[pair_on])
-        cols.append(np.stack([row, col], axis=-1)[pair_on])
-        vals.append(np.stack([w, -w], axis=-1)[pair_on])
-        to_rhs = on & (col < 0)
-        np.add.at(rhs, row[to_rhs], w[to_rhs, None] * uv_fixed[vert[to_rhs]])
+        fan = np.column_stack([np.full(len(loop), n + c), loop, np.roll(loop, -1)])
+        rows.append(fan[:, row_corner].ravel())
+        cols.append(fan[:, col_corner].ravel())
+        lams.append(np.column_stack(corner_weights(
+            (alpha, beta, beta), (base, r_hole, r_hole), opt.scheme)).ravel())
+    A, rhs, unknown = dirichlet_system(
+        n + len(fill), np.concatenate(rows), np.concatenate(cols), np.concatenate(lams),
+        list(boundary_uv), list(boundary_uv.values()))
+    centers = {k: int(unknown[n + c]) for c, k in enumerate(fill)}
+    return AssembledSystem(A, rhs, unknown[:n], boundary_uv, outer_loop, centers)
 
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
-    A = sp.coo_matrix((vals, (rows, cols)), shape=(m, m)).tocsc()
-    A.sum_duplicates()
-    return AssembledSystem(
-        A=A,
-        rhs=rhs,
-        unknown_of_vertex=unknown,
-        boundary_uv=boundary_uv,
-        outer_loop=outer_loop,
-        center_ids=center_ids,
-    )
+
+def solve_system(A, rhs):
+    """(x, max residual) of A x = rhs: one LU for all columns, bicgstab if it fails."""
+    import scipy.sparse.linalg as spla
+
+    if not A.shape[0]:
+        return np.zeros(rhs.shape), 0.0
+    try:
+        x = spla.splu(A).solve(rhs)
+    except RuntimeError:
+        x = _iterative_fallback(A, rhs)
+    return x, float(np.abs(A @ x - rhs).max())
 
 
 def solve(patch: Patch, system: AssembledSystem) -> Parametrization:
-    """Factor once, solve both coordinates, and verify residual/injectivity."""
-    import scipy.sparse.linalg as spla
-
-    A = system.A
-    if A.shape[0]:
-        try:
-            lu = spla.splu(A)
-            x = np.column_stack([lu.solve(system.rhs[:, 0]),
-                                 lu.solve(system.rhs[:, 1])])
-        except RuntimeError:
-            x = _iterative_fallback(A, system.rhs)
-        res = np.abs(A @ x - system.rhs).max()
-    else:
-        x = np.zeros((0, 2))
-        res = 0.0
-
-    n = patch.tri.n_vertices
-    uv = np.zeros((n, 2))
-    for v, val in system.boundary_uv.items():
-        uv[v] = val
+    """Solve both coordinates, and verify residual/injectivity."""
+    x, res = solve_system(system.A, system.rhs)
+    uv = np.zeros((patch.tri.n_vertices, 2))
+    uv[list(system.boundary_uv)] = list(system.boundary_uv.values())
     free = system.unknown_of_vertex >= 0
     uv[free] = x[system.unknown_of_vertex[free]]
     areas = signed_uv_areas(patch.tri.triangles, uv)
-    param = Parametrization(
-        uv=uv,
-        signed_areas=areas,
-        injective=bool((areas > 0.0).all()),
-        residual=float(res),
-        outer_loop=system.outer_loop,
-    )
-    for k, cid in system.center_ids.items():
-        param.center_uv[k] = tuple(x[cid])
     if res > RESIDUAL_TOL:
         logger.warning("parametrization residual %.3e exceeds tolerance", res)
-    return param
+    return Parametrization(
+        uv=uv, signed_areas=areas, injective=bool((areas > 0.0).all()), residual=res,
+        outer_loop=system.outer_loop,
+        center_uv={k: tuple(x[cid]) for k, cid in system.center_ids.items()})
 
 
 def _iterative_fallback(A, rhs):

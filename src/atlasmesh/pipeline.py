@@ -42,6 +42,8 @@ class AtlasResult:
 def build_atlas(model: Triangulation, opt: PipelineOptions | None = None) -> AtlasResult:
     """Segment; split, refine and parametrize each patch; build the BREP."""
     opt = opt or PipelineOptions()
+    if opt.max_triangles < 1:
+        raise MeshError(f"max_triangles must be at least 1, got {opt.max_triangles}")
     t0 = time.perf_counter()
     adj = Adjacency(model)
     report = validate(model, adj)

@@ -237,6 +237,20 @@ class PlanarMesh:
         return pts, tris, used
 
 
+def delaunay(points):
+    """Counter-clockwise Delaunay triangles of (n, 2) points; a MeshError if
+    Qhull drops a point (a duplicate, say), which no triangle would use."""
+    from scipy.spatial import Delaunay
+
+    dt = Delaunay(points)
+    if len(dt.coplanar):
+        raise MeshError("degenerate points dropped by Delaunay")
+    tris = dt.simplices.astype(np.int64)
+    cw = signed_uv_areas(tris, points) < 0.0
+    tris[cw] = tris[cw][:, [0, 2, 1]]
+    return tris
+
+
 def constrained_triangulation(points, constraint_edges):
     """Delaunay triangulation honouring the given edges.
 
@@ -245,18 +259,10 @@ def constrained_triangulation(points, constraint_edges):
     sub-constraints (the polyline geometry is unchanged).  Returns a
     PlanarMesh with the recovered edges marked constrained.
     """
-    from scipy.spatial import Delaunay
-
     pts = np.asarray(points, dtype=np.float64)
     if len(pts) < 3:
         raise MeshError("need at least 3 boundary points")
-    dt = Delaunay(pts)
-    if len(dt.coplanar):
-        raise MeshError("degenerate boundary points dropped by Delaunay")
-    tris = dt.simplices.astype(np.int64)
-    cw = signed_uv_areas(tris, pts) < 0.0
-    tris[cw] = tris[cw][:, [0, 2, 1]]
-    mesh = PlanarMesh(pts, tris)
+    mesh = PlanarMesh(pts, delaunay(pts))
     scale = float(np.abs(pts).max()) or 1.0
     eps = ON_SEGMENT_TOL * scale
 

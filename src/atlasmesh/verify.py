@@ -11,8 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import Adjacency, MeshError, Triangulation, signed_uv_areas
-from .param import scheme_weight_matrix
+from .mesh import Adjacency, MeshError, Triangulation
+from .param import dirichlet_system, scheme_weight_matrix, solve_system
+from .planar import delaunay
 
 TWO_PI = 2.0 * np.pi
 
@@ -39,8 +40,6 @@ def build_square_mesh(kind, n, seed=1) -> Triangulation:
     interior points, triangulated by scipy; the jitter is seeded, so the
     mesh is identical across runs.
     """
-    from scipy.spatial import Delaunay
-
     if n < 2:
         raise MeshError("resolution must be at least 2")
     h = 1.0 / n
@@ -68,12 +67,8 @@ def build_square_mesh(kind, n, seed=1) -> Triangulation:
         jitter = rng.uniform(-0.3 * h, 0.3 * h, size=(int(interior.sum()), 2))
         pts = pts.copy()
         pts[interior] += jitter
-        dt = Delaunay(pts)
-        tris = dt.simplices.astype(np.int64)
-        flip = signed_uv_areas(tris, pts) < 0.0
-        tris[flip] = tris[flip][:, [0, 2, 1]]
         verts = np.column_stack([pts, np.zeros(len(pts))])
-        return Triangulation(verts, tris)
+        return Triangulation(verts, delaunay(pts))
     raise MeshError(f"unknown mesh kind: {kind}")
 
 
@@ -83,39 +78,34 @@ def boundary_vertices(mesh: Triangulation):
     return np.unique(adj.edges[adj.edge_count == 1])
 
 
-def _scheme_operator(mesh: Triangulation, scheme):
-    """The scheme's operator diag(rowsum W) - W, as a CSR matrix."""
-    import scipy.sparse as sp
-
-    W = scheme_weight_matrix(mesh.vertices, mesh.triangles, scheme)
-    return (sp.diags(np.asarray(W.sum(axis=1)).ravel()) - W).tocsr()
+def _laplace_system(mesh: Triangulation, scheme):
+    """(A, rhs, unknown, boundary data) of the scheme for the manufactured
+    solution; the boundary vertices are the nodes with unknown -1."""
+    W = scheme_weight_matrix(mesh.vertices, mesh.triangles, scheme).tocoo()
+    bnd = boundary_vertices(mesh)
+    g = manufactured_solution(mesh.vertices[bnd, 0], mesh.vertices[bnd, 1])
+    return (*dirichlet_system(mesh.n_vertices, W.row, W.col, W.data, bnd, g), g)
 
 
 def solve_laplace(mesh: Triangulation, scheme) -> np.ndarray:
-    """Nodal field with manufactured Dirichlet data on the whole boundary."""
-    import scipy.sparse.linalg as spla
+    """Nodal field with manufactured Dirichlet data on the whole boundary.
 
-    n = mesh.n_vertices
-    L = _scheme_operator(mesh, scheme)
-    bnd = boundary_vertices(mesh)
-    g = manufactured_solution(mesh.vertices[bnd, 0], mesh.vertices[bnd, 1])
-    mask = np.ones(n, dtype=bool)
-    mask[bnd] = False
-    free = np.nonzero(mask)[0]
-    A = L[free][:, free].tocsc()
-    rhs = -L[free][:, bnd] @ g
-    x = spla.splu(A).solve(rhs)
-    field = np.empty(n)
-    field[bnd] = g
-    field[free] = x
+    Assembled and solved as the disk map is: `dirichlet_system`, then
+    `solve_system` with its iterative fallback.
+    """
+    A, rhs, unknown, g = _laplace_system(mesh, scheme)
+    field = np.empty(mesh.n_vertices)
+    field[unknown < 0] = g
+    field[unknown >= 0] = solve_system(A, rhs)[0][:, 0]
     return field
 
 
 def scheme_residual(mesh: Triangulation, scheme, field):
-    """Interior-row residuals of the assembled scheme for a given field."""
-    r = _scheme_operator(mesh, scheme) @ field
-    bnd = boundary_vertices(mesh)
-    r[bnd] = 0.0
+    """Interior-row residuals A @ field - rhs of the assembled scheme; 0 on the boundary."""
+    A, rhs, unknown, _ = _laplace_system(mesh, scheme)
+    free = unknown >= 0
+    r = np.zeros(mesh.n_vertices)
+    r[free] = A @ np.asarray(field)[free] - rhs[:, 0]
     return r
 
 
@@ -128,17 +118,14 @@ def error_norms(mesh: Triangulation, field):
     t = mesh.triangles
     p = mesh.vertices[t][:, :, :2]
     f = np.asarray(field)[t]
-    areas = 0.5 * np.abs(
-        (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-        - (p[:, 1, 1] - p[:, 0, 1]) * (p[:, 2, 0] - p[:, 0, 0])
-    )
-    l2 = np.zeros(len(t))
     # constant gradient of the linear interpolant
     d1 = p[:, 1] - p[:, 0]
     d2 = p[:, 2] - p[:, 0]
     det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+    areas = 0.5 * np.abs(det)
     gx = ((f[:, 1] - f[:, 0]) * d2[:, 1] - (f[:, 2] - f[:, 0]) * d1[:, 1]) / det
     gy = (-(f[:, 1] - f[:, 0]) * d2[:, 0] + (f[:, 2] - f[:, 0]) * d1[:, 0]) / det
+    l2 = np.zeros(len(t))
     h1 = np.zeros(len(t))
     for a, b in ((0, 1), (1, 2), (0, 2)):
         mid = 0.5 * (p[:, a] + p[:, b])
@@ -170,7 +157,9 @@ def _fit_slope(hs, errs):
 
 
 def convergence_study(scheme, kind, resolutions=(16, 24, 32, 48, 64, 96, 128), seed=1):
-    if len(set(resolutions)) < 2:
+    """Errors and fitted slopes; each distinct resolution once, coarse to fine."""
+    resolutions = sorted(set(resolutions))
+    if len(resolutions) < 2:
         raise MeshError("a convergence slope needs at least two distinct resolutions")
     levels = []
     for n in resolutions:

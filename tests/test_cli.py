@@ -131,6 +131,34 @@ def test_convergence_rejects_a_single_resolution(capsys, resolutions):
     assert "at least two distinct resolutions" in message
 
 
+@pytest.mark.parametrize("command", ["atlas", "remesh"])
+@pytest.mark.parametrize("limit", ["0", "-3"])
+def test_max_triangles_below_one_is_rejected_before_segmentation(
+        cube_file, tmp_path, capsys, monkeypatch, command, limit):
+    import atlasmesh.pipeline as pipeline
+
+    def segment(*a):
+        raise AssertionError("segment_patches called")
+
+    monkeypatch.setattr(pipeline, "segment_patches", segment)
+    out = tmp_path / "out.msh"
+    argv = [command, str(cube_file), "--max-triangles", limit, "-o", str(out)]
+    message = _mesh_error(capsys, argv + (["--size", "0.5"] if command == "remesh" else []))
+    assert f"max_triangles must be at least 1, got {limit}" in message
+    assert not out.exists()
+
+
+def test_convergence_solves_each_distinct_resolution_once_coarse_to_fine(tmp_path):
+    csv_path = tmp_path / "conv.csv"
+    rc = main(["convergence", "--scheme", "fem", "--resolutions", "32,16,16",
+               "-o", str(csv_path)])
+    assert rc == 0
+    rows = csv_path.read_text().strip().splitlines()[1:]
+    assert [float(r.split(",")[0]) for r in rows] == [1.0 / 16, 1.0 / 32]
+    slopes = json.loads((tmp_path / "conv.csv.json").read_text())
+    assert 1.7 < slopes["l2_slope"] < 2.3
+
+
 def test_readme_names_every_flag():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from atlasmesh.mesh import MeshError
+import atlasmesh.param as param_module
+from atlasmesh.param import scheme_weight_matrix
 from atlasmesh.verify import (
     boundary_vertices,
     build_square_mesh,
@@ -109,3 +113,66 @@ def test_convergence_study_levels_decrease():
     assert hs == sorted(hs, reverse=True)
     assert l2 == sorted(l2, reverse=True)
     assert 1.7 < res.l2_slope < 2.3
+
+
+def _reference_operator(mesh, scheme):
+    W = scheme_weight_matrix(mesh.vertices, mesh.triangles, scheme)
+    return (sp.diags(np.asarray(W.sum(axis=1)).ravel()) - W).tocsr()
+
+
+def reference_solve_laplace(mesh, scheme):
+    """The operator-slicing solve: L = diag(rowsum W) - W, restricted to the
+    interior rows and columns, boundary columns moved to the rhs."""
+    n = mesh.n_vertices
+    L = _reference_operator(mesh, scheme)
+    bnd = boundary_vertices(mesh)
+    g = manufactured_solution(mesh.vertices[bnd, 0], mesh.vertices[bnd, 1])
+    mask = np.ones(n, dtype=bool)
+    mask[bnd] = False
+    free = np.nonzero(mask)[0]
+    x = spla.splu(L[free][:, free].tocsc()).solve(-L[free][:, bnd] @ g)
+    field = np.empty(n)
+    field[bnd] = g
+    field[free] = x
+    return field
+
+
+def reference_scheme_residual(mesh, scheme, field):
+    r = _reference_operator(mesh, scheme) @ field
+    r[boundary_vertices(mesh)] = 0.0
+    return r
+
+
+@pytest.mark.parametrize("n", [8, 16, 32])
+@pytest.mark.parametrize("kind", ["structured", "delaunay"])
+@pytest.mark.parametrize("scheme", ["mvc", "fem"])
+def test_laplace_harness_equals_the_operator_slicing_reference(scheme, kind, n):
+    m = build_square_mesh(kind, n)
+    field = solve_laplace(m, scheme)
+    ref = reference_solve_laplace(m, scheme)
+    assert np.abs(field - ref).max() <= 1e-12 * np.abs(ref).max()
+    # the residual of the solve, and of the exact nodal values (truncation error)
+    exact = manufactured_solution(m.vertices[:, 0], m.vertices[:, 1])
+    for f in (field, exact):
+        r = scheme_residual(m, scheme, f)
+        assert np.abs(r - reference_scheme_residual(m, scheme, f)).max() <= 1e-9
+    assert np.abs(scheme_residual(m, scheme, exact)).max() > 1e-6
+
+
+@pytest.mark.parametrize("kind", ["structured", "delaunay"])
+def test_laplace_harness_falls_back_when_the_factor_fails(monkeypatch, kind):
+    m = build_square_mesh(kind, 16)
+    direct = solve_laplace(m, "mvc")
+
+    def singular(A):
+        raise RuntimeError("Factor is exactly singular")
+
+    calls = []
+    fallback = param_module._iterative_fallback
+    monkeypatch.setattr(spla, "splu", singular)
+    monkeypatch.setattr(param_module, "_iterative_fallback",
+                        lambda *a: calls.append(1) or fallback(*a))
+    iterative = solve_laplace(m, "mvc")
+    assert calls == [1]
+    # relative to the field's scale, cosh(2 pi) ~ 268 on the top edge
+    assert np.abs(iterative - direct).max() <= 1e-10 * np.abs(direct).max()
