@@ -28,12 +28,11 @@ class RefineReport:
 def _lengths(vertices, a, b):
     """Lengths of the edges from vertices `a` to vertices `b`.
 
-    Squares are taken with `**` (libm pow) on Python floats, not with
-    `x * x`: the two round about one square in a thousand differently,
-    and the lengths order the splits.
+    Squares are `d * d`, correctly rounded on every platform (a libm
+    `pow` may not be), because the lengths order the splits.
     """
-    d = (vertices[a] - vertices[b]).ravel().tolist()
-    sq = np.array([x ** 2 for x in d]).reshape(-1, 3)
+    d = vertices[a] - vertices[b]
+    sq = d * d
     return np.sqrt((sq[:, 0] + sq[:, 1]) + sq[:, 2])
 
 

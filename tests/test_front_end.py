@@ -204,8 +204,8 @@ def ref_bisection(patch, length_threshold=None, max_rounds=10):
 
     def length(edge):
         pa, pb = verts[edge[0]], verts[edge[1]]
-        return float(np.sqrt((pa[0] - pb[0]) ** 2 + (pa[1] - pb[1]) ** 2
-                             + (pa[2] - pb[2]) ** 2))
+        dx, dy, dz = pa[0] - pb[0], pa[1] - pb[1], pa[2] - pb[2]
+        return float(np.sqrt((dx * dx + dy * dy) + dz * dz))
 
     def splittable(edge):
         return len(em[edge]) != 1
