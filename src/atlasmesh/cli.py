@@ -38,7 +38,6 @@ def _add_atlas_flags(p):
     p.add_argument("--refine-threshold", default=d.refine_threshold,
                    help="edge length, 'auto', or 'off'")
     p.add_argument("--refine-rounds", type=int, default=d.refine_rounds)
-    p.add_argument("--threads", type=int, default=d.threads)
 
 
 def build_parser():
@@ -63,6 +62,7 @@ def build_parser():
     _add_atlas_flags(p)
     p.add_argument("--size", type=float, required=True,
                    help="target edge length of the output mesh")
+    p.add_argument("--threads", type=int, default=PipelineOptions.threads)
     p.add_argument("-o", "--output", required=True)
 
     p = sub.add_parser("quality", help="per-patch parametrization quality")
@@ -96,7 +96,7 @@ def _options(args):
         max_triangles=args.max_triangles,
         refine_threshold=thr,
         refine_rounds=args.refine_rounds,
-        threads=args.threads,
+        threads=getattr(args, "threads", PipelineOptions.threads),
     )
 
 

@@ -66,6 +66,8 @@ def _load_stl_binary(path):
     if len(data) < 84:
         raise MeshError("STL binary: truncated header")
     (n,) = struct.unpack_from("<I", data, 80)
+    if n == 0:
+        raise MeshError("STL binary: no facets")
     if len(data) < 84 + 50 * n:
         raise MeshError("STL binary: truncated facet data")
     rec = np.frombuffer(data, dtype=np.uint8, count=50 * n, offset=84).reshape(n, 50)

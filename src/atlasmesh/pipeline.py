@@ -42,6 +42,8 @@ class AtlasResult:
 def build_atlas(model: Triangulation, opt: PipelineOptions | None = None) -> AtlasResult:
     """Segment; split, refine and parametrize each patch; build the BREP."""
     opt = opt or PipelineOptions()
+    if model.n_triangles == 0:
+        raise MeshError("input has no triangles")
     if opt.max_triangles < 1:
         raise MeshError(f"max_triangles must be at least 1, got {opt.max_triangles}")
     t0 = time.perf_counter()
@@ -181,23 +183,36 @@ def _validation_error(out: Triangulation, report):
     return MeshError("remeshed output failed validation: " + "; ".join(parts))
 
 
+def mesh_face(job):
+    """Mesh one face in its UV plane; the FaceMeshResult has `xyz` set.
+
+    `job` is (face id, patch, parametrization, `face_sample_loops` loops,
+    h, sample table) and holds nothing else of the run, so it pickles.
+    A MeshError raised inside is re-raised naming the face.
+    """
+    fid, patch, param, loops, h, sample_xyz = job
+    try:
+        res = mesh_patch_uv(patch, param, loops, h)
+        res.xyz = map_to_3d(res, patch, sample_xyz)
+    except MeshError as exc:
+        raise MeshError(f"face {fid}: {exc}") from exc
+    return res
+
+
 def remesh_model(model: Triangulation, opt: PipelineOptions | None = None):
     """Full pipeline; returns (output mesh, summary, atlas result)."""
     opt = opt or PipelineOptions()
     if opt.size is None or not 0.0 < opt.size < np.inf:
         raise MeshError(f"target size must be finite and positive, got {opt.size}")
+    if opt.threads < 1:
+        raise MeshError(f"threads must be at least 1, got {opt.threads}")
     t0 = time.perf_counter()
     atlas = build_atlas(model, opt)
     sample_xyz, curves = boundary_samples(atlas, opt.size)
-
-    def mesh_face(face_id):
-        patch = atlas.patches[face_id]
-        loops = face_sample_loops(atlas, face_id, curves)
-        res = mesh_patch_uv(patch, atlas.params[face_id], loops, opt.size)
-        return res, map_to_3d(res, patch, sample_xyz)
-
-    meshed = _run_parallel(mesh_face, range(len(atlas.brep.faces)), opt.threads)
-    out = stitch([m[0] for m in meshed], [m[1] for m in meshed])
+    jobs = [(fid, p, pr, face_sample_loops(atlas, fid, curves), opt.size, sample_xyz)
+            for fid, (p, pr) in enumerate(zip(atlas.patches, atlas.params))]
+    faces = _run_parallel(mesh_face, jobs, opt.threads)
+    out = stitch(faces)
 
     out_report = validate(out)
     if not out_report.ok:
@@ -213,7 +228,7 @@ def remesh_model(model: Triangulation, opt: PipelineOptions | None = None):
                 {"passes": res.passes, "converged": res.converged,
                  "splits": res.splits, "collapses": res.collapses,
                  "flips": res.flips, "moves": res.moves}
-                for res, _ in meshed
+                for res in faces
             ],
             "total_seconds": time.perf_counter() - t0,
         }

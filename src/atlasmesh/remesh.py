@@ -274,6 +274,7 @@ class FaceMeshResult:
     collapses: int = 0
     flips: int = 0
     moves: int = 0
+    xyz: np.ndarray | None = None  # (n, 3) positions from map_to_3d, for stitch
 
 
 def mesh_patch_uv(
@@ -441,20 +442,19 @@ def map_to_3d(result: FaceMeshResult, patch, sample_xyz) -> np.ndarray:
     return out
 
 
-def stitch(face_results, face_xyz) -> Triangulation:
-    """Merge per-face meshes into one conforming triangulation.
+def stitch(faces) -> Triangulation:
+    """Merge the face meshes, `xyz` set, into one conforming triangulation.
 
     Vertices of the same boundary sample (shared curve samples and corner
     points) are emitted once, where they first occur; every interior
     vertex stays its face's own.  Triangles are tagged with their face.
     """
-    keys = np.concatenate([res.sample_ids for res in face_results])
+    keys = np.concatenate([f.sample_ids for f in faces])
     inner = keys < 0
     keys[inner] = keys.max() + 1 + np.arange(inner.sum())  # past every sample id
     first, index = first_occurrence(keys)
-    offsets = np.cumsum([0] + [len(res.sample_ids) for res in face_results])
-    tris = np.concatenate(
-        [res.triangles + off for res, off in zip(face_results, offsets)]
-    )
-    tags = np.repeat(np.arange(len(face_results)), [len(r.triangles) for r in face_results])
-    return Triangulation(np.concatenate(face_xyz)[first], index[tris], patch_tags=tags)
+    offsets = np.cumsum([0] + [len(f.sample_ids) for f in faces])
+    tris = np.concatenate([f.triangles + off for f, off in zip(faces, offsets)])
+    tags = np.repeat(np.arange(len(faces)), [len(f.triangles) for f in faces])
+    xyz = np.concatenate([f.xyz for f in faces])
+    return Triangulation(xyz[first], index[tris], patch_tags=tags)

@@ -148,6 +148,32 @@ def test_max_triangles_below_one_is_rejected_before_segmentation(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["info", "atlas", "remesh", "quality"])
+def test_empty_stl_gives_json_mesh_error(tmp_path, capsys, command):
+    path = tmp_path / "empty.stl"
+    path.write_bytes(b"\0" * 80 + (0).to_bytes(4, "little"))
+    out = tmp_path / "out.msh"
+    flags = {"atlas": ["-o", str(out)], "remesh": ["--size", "0.5", "-o", str(out)]}
+    assert "no facets" in _mesh_error(capsys, [command, str(path), *flags.get(command, [])])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_remesh_rejects_threads_below_one(cube_file, tmp_path, capsys, threads):
+    out = tmp_path / "out.msh"
+    argv = ["remesh", str(cube_file), "--size", "0.5", "--threads", threads, "-o", str(out)]
+    assert f"threads must be at least 1, got {threads}" in _mesh_error(capsys, argv)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["atlas", "quality"])
+def test_threads_is_a_remesh_flag_only(cube_file, tmp_path, command):
+    output = ["-o", str(tmp_path / "o.msh")] if command == "atlas" else []
+    assert main([command, str(cube_file), *output]) == 0
+    with pytest.raises(SystemExit):
+        main([command, str(cube_file), "--threads", "1", *output])
+
+
 def test_convergence_solves_each_distinct_resolution_once_coarse_to_fine(tmp_path):
     csv_path = tmp_path / "conv.csv"
     rc = main(["convergence", "--scheme", "fem", "--resolutions", "32,16,16",

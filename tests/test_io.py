@@ -66,6 +66,13 @@ def test_stl_truncated_binary(tmp_path):
         load_surface(p)
 
 
+def test_stl_binary_without_facets(tmp_path):
+    p = tmp_path / "empty.stl"
+    p.write_bytes(b"\0" * 80 + (0).to_bytes(4, "little"))
+    with pytest.raises(MeshError, match="no facets"):
+        load_surface(p)
+
+
 def test_obj_round_trip(tmp_path):
     m = cylinder_shell()
     p = tmp_path / "cyl.obj"

@@ -1,3 +1,4 @@
+import pickle
 import re
 import sys
 from pathlib import Path
@@ -44,6 +45,57 @@ def test_size_field_validation(monkeypatch):
     for size in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(MeshError, match="finite and positive"):
             remesh_model(cube(), PipelineOptions(size=size))
+
+
+@pytest.mark.parametrize("threads", [0, -3])
+def test_threads_below_one_are_rejected(monkeypatch, threads):
+    def no_atlas(*args):
+        raise AssertionError("the atlas was built before the thread count was checked")
+
+    monkeypatch.setattr(pipeline, "build_atlas", no_atlas)
+    with pytest.raises(MeshError, match=f"threads must be at least 1, got {threads}"):
+        remesh_model(cube(), PipelineOptions(size=0.25, threads=threads))
+
+
+def test_empty_model_is_rejected():
+    empty = Triangulation(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64))
+    with pytest.raises(MeshError, match="no triangles"):
+        remesh_model(empty, PipelineOptions(size=0.25))
+    with pytest.raises(MeshError, match="no triangles"):
+        build_atlas(empty)
+
+
+def test_face_job_pickles(monkeypatch):
+    # a process pool ships each job and mesh_face itself by pickle
+    jobs = []
+    run_parallel = pipeline._run_parallel
+
+    def record(fn, items, threads):
+        jobs.extend(items)
+        return run_parallel(fn, items, threads)
+
+    monkeypatch.setattr(pipeline, "_run_parallel", record)
+    remesh_model(cube(), PipelineOptions(size=0.25))
+    fn, job = pickle.loads(pickle.dumps((pipeline.mesh_face, jobs[0])))
+    direct, shipped = pipeline.mesh_face(jobs[0]), fn(job)
+    for key in ("uv_points", "triangles", "sample_ids", "xyz"):
+        assert np.array_equal(getattr(shipped, key), getattr(direct, key)), key
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_mesh_error_names_the_face(monkeypatch, threads):
+    model = cube()
+    doomed = build_atlas(model, PipelineOptions(size=0.25)).patches[3].triangle_ids
+    mesh_uv = pipeline.mesh_patch_uv
+
+    def fail_face_3(patch, *args):
+        if np.array_equal(patch.triangle_ids, doomed):
+            raise MeshError("boom")
+        return mesh_uv(patch, *args)
+
+    monkeypatch.setattr(pipeline, "mesh_patch_uv", fail_face_3)
+    with pytest.raises(MeshError, match="^face 3: boom$"):
+        remesh_model(model, PipelineOptions(size=0.25, threads=threads))
 
 
 def test_discretize_open_curve():
@@ -373,9 +425,9 @@ def test_stitch_dedupes_shared_keys():
     xyz_a = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], dtype=float)
     xyz_b = np.array([[1, 0, 0], [0, 0, 0], [0, 1, 5]], dtype=float)
     loc = UVLocator(uv, tris)
-    a = FaceMeshResult(uv, tris, np.array([0, 1, -1]), loc)
-    b = FaceMeshResult(uv, tris, np.array([1, 0, -1]), loc)
-    out = stitch([a, b], [xyz_a, xyz_b])
+    a = FaceMeshResult(uv, tris, np.array([0, 1, -1]), loc, xyz=xyz_a)
+    b = FaceMeshResult(uv, tris, np.array([1, 0, -1]), loc, xyz=xyz_b)
+    out = stitch([a, b])
     assert out.n_vertices == 4  # two shared + two private
     assert np.array_equal(out.vertices, [xyz_a[0], xyz_a[1], xyz_a[2], xyz_b[2]])
     assert out.triangles.tolist() == [[0, 1, 2], [1, 0, 3]]

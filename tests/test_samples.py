@@ -20,8 +20,9 @@ from atlasmesh.pipeline import (
     boundary_samples,
     build_atlas,
     face_sample_loops,
+    mesh_face,
 )
-from atlasmesh.remesh import discretize_curve, map_to_3d, mesh_patch_uv, stitch
+from atlasmesh.remesh import discretize_curve, stitch
 
 FIXTURES = [
     ("cube", cube, 0.25),
@@ -135,10 +136,10 @@ def run(request):
     mesh = build()
     atlas = build_atlas(mesh, PipelineOptions(size=h))
     sample_xyz, curves = boundary_samples(atlas, h)
-    faces = []
-    for fid, patch in enumerate(atlas.patches):
-        res = mesh_patch_uv(patch, atlas.params[fid], face_sample_loops(atlas, fid, curves), h)
-        faces.append((res, map_to_3d(res, patch, sample_xyz)))
+    faces = [
+        mesh_face((fid, patch, param, face_sample_loops(atlas, fid, curves), h, sample_xyz))
+        for fid, (patch, param) in enumerate(zip(atlas.patches, atlas.params))
+    ]
     return mesh, atlas, h, sample_xyz, curves, faces
 
 
@@ -193,12 +194,10 @@ def test_sample_table_matches_tuple_keys(run):
 def test_stitch_equals_tuple_key_stitch(run):
     _, atlas, _, _, curves, faces = run
     key_of = _key_of_id(atlas, curves)
-    results = [res for res, _ in faces]
-    face_xyz = [xyz for _, xyz in faces]
     keys = [{v: key_of[s] for v, s in enumerate(res.sample_ids.tolist()) if s >= 0}
-            for res in results]
-    out = stitch(results, face_xyz)
-    ref = ref_stitch(results, face_xyz, keys)
+            for res in faces]
+    out = stitch(faces)
+    ref = ref_stitch(faces, [res.xyz for res in faces], keys)
     assert np.array_equal(out.vertices, ref.vertices)
     assert np.array_equal(out.triangles, ref.triangles)
     assert np.array_equal(out.patch_tags, ref.patch_tags)
