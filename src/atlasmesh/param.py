@@ -5,6 +5,9 @@ average of its neighbours, with mean-value or cotangent weights, and the
 outer boundary pinned to the unit circle.  Interior holes are either left
 free (homogeneous Neumann) or closed by a pseudo-center auxiliary unknown
 built from virtual isosceles triangles that are never materialized.
+
+A planar patch has a simpler one-to-one map: its orthogonal projection
+onto its own plane (`projection`), an isometry that needs no solve.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ logger = logging.getLogger(__name__)
 
 ANGLE_CLAMP = 1e-12
 RESIDUAL_TOL = 1e-10  # relative to the unit-circle boundary scale
+PLANAR_COS = 1.0 - 1e-10  # smallest cosine of a planar patch's normals to their mean
 
 
 def triangle_angles(la, lb, lc):
@@ -291,6 +295,40 @@ def _iterative_fallback(A, rhs):
             raise MeshError(f"linear solver failed to converge (info={info})")
         cols.append(x)
     return np.column_stack(cols)
+
+
+def projection(patch: Patch) -> Parametrization | None:
+    """The orthogonal projection of a planar patch onto its plane; None if not planar.
+
+    A patch is planar when every unit normal is within cosine PLANAR_COS
+    of their mean and every triangle projects with positive area.  The
+    UV axes are an orthonormal basis (e1, e2) of the plane with e1 x e2
+    along the mean normal, and the origin is the mean vertex, so the UV
+    coordinates are as large as the patch is, wherever it lies.  The map
+    is an isometry: its residual is 0, no hole is filled, and the outer
+    loop is the loop of largest signed area.
+    """
+    v, t = patch.tri.vertices, patch.tri.triangles
+    p = v[t]
+    n = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+    n /= np.linalg.norm(n, axis=1)[:, None]
+    mean = n.sum(axis=0)
+    mean /= np.linalg.norm(mean)
+    if not (n @ mean >= PLANAR_COS).all():
+        return None
+    axis = np.eye(3)[np.argmin(np.abs(mean))]
+    e1 = axis - (axis @ mean) * mean
+    e1 /= np.linalg.norm(e1)
+    uv = (v - v.mean(axis=0)) @ np.column_stack([e1, np.cross(mean, e1)])
+    areas = signed_uv_areas(t, uv)
+    if not (areas > 0.0).all():
+        return None
+    loop_areas = []
+    for lp in patch.loops:
+        (x, y), (nx, ny) = uv[lp].T, uv[np.roll(lp, -1)].T
+        loop_areas.append(float((x * ny - nx * y).sum()))  # twice the shoelace area
+    return Parametrization(uv=uv, signed_areas=areas, injective=True, residual=0.0,
+                           outer_loop=int(np.argmax(loop_areas)))
 
 
 def parametrize(patch: Patch, options: ParamOptions | None = None) -> Parametrization:

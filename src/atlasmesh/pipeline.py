@@ -11,7 +11,8 @@ import numpy as np
 from .atlas import BRep, build_brep, make_parametrizable
 from .features import detect_feature_edges, segment_patches
 from .mesh import Adjacency, MeshError, Triangulation, validate
-from .param import ParamOptions, parametrize
+from .param import ParamOptions, projection
+from .param import parametrize as disk_map  # the name `parametrize` is this module's face map
 from .patch import Patch
 from .quality import patch_quality
 from .refine import longest_edge_bisection
@@ -46,6 +47,12 @@ def build_atlas(model: Triangulation, opt: PipelineOptions | None = None) -> Atl
         raise MeshError("input has no triangles")
     if opt.max_triangles < 1:
         raise MeshError(f"max_triangles must be at least 1, got {opt.max_triangles}")
+    # None: each patch's default_threshold, or no refinement at all
+    thr = None if opt.refine_threshold in ("auto", None) else float(opt.refine_threshold)
+    if thr is not None and not 0.0 < thr < np.inf:
+        raise MeshError(f"refinement threshold must be finite and positive, got {thr}")
+    if opt.refine_rounds < 0:
+        raise MeshError(f"refinement rounds must be at least 0, got {opt.refine_rounds}")
     t0 = time.perf_counter()
     adj = Adjacency(model)
     report = validate(model, adj)
@@ -58,11 +65,9 @@ def build_atlas(model: Triangulation, opt: PipelineOptions | None = None) -> Atl
     segmentation = segment_patches(model, adj, features)
 
     def prepare(p):
+        # a planar patch is projected, and needs no refinement
         report = None
-        if opt.refine_threshold is not None:
-            thr = (
-                None if opt.refine_threshold == "auto" else float(opt.refine_threshold)
-            )
+        if opt.refine_threshold is not None and projection(p) is None:
             p, report = longest_edge_bisection(
                 p, length_threshold=thr, max_rounds=opt.refine_rounds
             )
@@ -98,6 +103,12 @@ def build_atlas(model: Triangulation, opt: PipelineOptions | None = None) -> Atl
         model=model, patches=patches, params=[r[1] for r in results],
         brep=brep, summary=summary,
     )
+
+
+def parametrize(patch: Patch, opt: ParamOptions):
+    """A face's map: the projection of a planar patch onto its plane, else the disk map."""
+    flat = projection(patch)
+    return disk_map(patch, opt) if flat is None else flat
 
 
 def _run_parallel(fn, items, threads):
@@ -192,8 +203,8 @@ def mesh_face(job):
     """
     fid, patch, param, loops, h, sample_xyz = job
     try:
-        res = mesh_patch_uv(patch, param, loops, h)
-        res.xyz = map_to_3d(res, patch, sample_xyz)
+        res, locator = mesh_patch_uv(patch, param, loops, h)
+        res.xyz = map_to_3d(res, locator, patch, sample_xyz)
     except MeshError as exc:
         raise MeshError(f"face {fid}: {exc}") from exc
     return res

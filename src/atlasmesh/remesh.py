@@ -266,7 +266,6 @@ class FaceMeshResult:
     uv_points: np.ndarray
     triangles: np.ndarray
     sample_ids: np.ndarray  # (n,) boundary-sample id of each vertex, -1 inside
-    locator: UVLocator  # the face's parametric triangles, for map_to_3d
     passes: int = 0  # adaptation passes run
     converged: bool = False  # the last pass changed nothing
     # accepted adaptation edits, summed over passes
@@ -283,13 +282,15 @@ def mesh_patch_uv(
     loops,
     h,
     passes=10,
-) -> FaceMeshResult:
+) -> tuple[FaceMeshResult, UVLocator]:
     """Triangulate the UV domain bounded by the given sample loops.
 
     `loops` is a list of boundary loops in walk order (domain on the
     left), each a pair of (k,) boundary-sample ids and (k, 2) UV points.
     The boundary is kept exactly; the interior is filled and adapted so
-    metric edge lengths at target size h approach 1.
+    metric edge lengths at target size h approach 1.  Returns the face
+    mesh and the locator of the patch's parametric triangles that the
+    metric built, for `map_to_3d`.
     """
     if not param.injective:
         raise MeshError("cannot remesh a non-injective parametrization")
@@ -417,26 +418,25 @@ def mesh_patch_uv(
         uv_points=pts,
         triangles=tris,
         sample_ids=vertex_ids[used],
-        locator=metric.locator,
         passes=done,
         converged=converged,
         **counts,
-    )
+    ), metric.locator
 
 
-def map_to_3d(result: FaceMeshResult, patch, sample_xyz) -> np.ndarray:
+def map_to_3d(result: FaceMeshResult, locator: UVLocator, patch, sample_xyz) -> np.ndarray:
     """3D positions of the face mesh vertices, exactly on the input surface.
 
     Boundary samples take their rows of the run's sample table
     `sample_xyz` (points on original curve segments); interior vertices
     are barycentric images on the containing parametric triangle, found
-    by the locator the face's metric built.
+    by `locator`, the one the face's metric built.
     """
     out = np.empty((len(result.uv_points), 3))
     boundary = result.sample_ids >= 0
     out[boundary] = sample_xyz[result.sample_ids[boundary]]
     inner = np.flatnonzero(~boundary)
-    t, bary = result.locator.locate_many(result.uv_points[inner], clamp=True)
+    t, bary = locator.locate_many(result.uv_points[inner], clamp=True)
     corners = patch.tri.vertices[patch.tri.triangles[t]]
     out[inner] = (bary[:, None, :] @ corners)[:, 0]
     return out

@@ -82,14 +82,21 @@ def test_disk_patch_untouched():
     assert records == []
 
 
-@pytest.mark.parametrize("make", [cube, torus, concave_hole_plate])
+@pytest.mark.parametrize("make", [cube, torus, concave_hole_plate, cylinder_shell])
 def test_each_face_is_parametrized_once_and_passes_the_split_check(monkeypatch, make):
+    # the planar faces of the cube and the plate are projected: no
+    # refinement, no assembly; the curved ones are refined and solved once
     calls = []
     assemble = param.assemble_system
     monkeypatch.setattr(param, "assemble_system", lambda *a, **k: calls.append(1) or assemble(*a, **k))
     atlas = build_atlas(make(), PipelineOptions(refine_threshold="auto"))
-    assert len(calls) == len(atlas.brep.faces)
-    assert all(f["refine"]["splits"] > 0 for f in atlas.summary["faces"])
+    faces = atlas.summary["faces"]
+    if make in (cube, concave_hole_plate):
+        assert calls == []
+        assert all(f["refine"] is None and f["residual"] == 0.0 for f in faces)
+    else:
+        assert len(calls) == len(atlas.brep.faces)
+        assert all(f["refine"]["splits"] > 0 for f in faces)
     assert [split_reason(pr) for pr in atlas.params] == [None] * len(atlas.params)
 
 

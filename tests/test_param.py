@@ -1,3 +1,6 @@
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -5,7 +8,14 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fixtures import concave_hole_plate, cube, cylinder_shell, random_disk_fixture
+from fixtures import (
+    concave_hole_plate,
+    cube,
+    cylinder_shell,
+    planar_fixture,
+    random_disk_fixture,
+    torus,
+)
 
 from atlasmesh import param as param_module
 
@@ -16,6 +26,7 @@ from atlasmesh.param import (
     apply_boundary,
     assemble_system,
     parametrize,
+    projection,
     scheme_weight_matrix,
     select_outer_loop,
     signed_uv_areas,
@@ -23,6 +34,10 @@ from atlasmesh.param import (
     triangle_angles,
 )
 from atlasmesh.patch import Patch
+from atlasmesh.pipeline import build_atlas
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import models  # noqa: E402
 
 coord = st.floats(-10.0, 10.0, allow_nan=False)
 
@@ -370,3 +385,86 @@ def test_iterative_fallback_matches_the_direct_solve(monkeypatch, name):
     assert calls == [1]
     assert iterative.injective
     assert np.abs(iterative.uv - direct.uv).max() <= 1e-10
+
+
+# -- planar patches: the orthogonal projection --------------------------------
+
+
+def _whole(mesh):
+    return Patch(mesh, np.arange(mesh.n_triangles))
+
+
+PLANAR_MODELS = {
+    "cube": cube,
+    "plate": concave_hole_plate,
+    "disk0": lambda: random_disk_fixture(0),
+    "disk1": lambda: random_disk_fixture(1),
+    # the "curved" strip has no interior vertex: its four corners are coplanar
+    "disk2": lambda: random_disk_fixture(2),
+    "frame": lambda: Triangulation(*models.square_frame(10)),
+}
+
+
+def _edge_lengths(points, triangles):
+    p = points[triangles]
+    return np.linalg.norm(p - np.roll(p, -1, axis=1), axis=2)
+
+
+@pytest.mark.parametrize("placement", [None, 0, 1, 2])
+@pytest.mark.parametrize("name", sorted(PLANAR_MODELS))
+def test_planar_faces_are_projected_isometrically(name, placement):
+    mesh = PLANAR_MODELS[name]()
+    if placement is not None:
+        mesh = Triangulation(models.place(mesh.vertices, 77, placement), mesh.triangles)
+    atlas = build_atlas(mesh)
+    for patch, param, face in zip(atlas.patches, atlas.params, atlas.summary["faces"]):
+        assert face["refine"] is None and param.residual == 0.0
+        assert np.array_equal(projection(patch).uv, param.uv)
+        assert param.injective and (param.signed_areas > 0.0).all()
+        uv_len = _edge_lengths(param.uv, patch.tri.triangles)
+        xyz_len = _edge_lengths(patch.tri.vertices, patch.tri.triangles)
+        assert (np.abs(uv_len - xyz_len) <= 1e-12 * xyz_len).all()
+
+
+def test_projection_outer_loop_has_the_largest_area():
+    mesh = concave_hole_plate()
+    patch = _whole(mesh)
+    param = projection(patch)
+    assert param.outer_loop == select_outer_loop(patch)
+    assert param.center_uv == {}
+    # the UV origin is the mean vertex, wherever the plate lies
+    moved = _whole(Triangulation(mesh.vertices + 1e6, mesh.triangles))
+    assert np.allclose(projection(moved).uv.mean(axis=0), 0.0, atol=1e-6)
+
+
+CURVED_MODELS = {
+    "strip": lambda: planar_fixture(
+        [(0, 0), (8, 0), (8, 0.4), (0, 0.4)], spacing=0.2, z=lambda x, y: 0.2 * np.sin(x / 2.0)),
+    "shell": lambda: random_disk_fixture(3),
+    "cylinder": cylinder_shell,
+}
+
+
+@pytest.mark.parametrize("name", sorted(CURVED_MODELS))
+def test_curved_patches_take_the_disk_map(name):
+    assert projection(_whole(CURVED_MODELS[name]())) is None
+
+
+def test_torus_projects_its_flat_bands_only():
+    # the 12 x 6 torus has two flat annular bands; its four conical bands
+    # are refined and take the disk map
+    atlas = build_atlas(torus(nu=12, nv=6))
+    planar = [projection(p) is not None for p in atlas.patches]
+    assert planar == [False, True, False, False, True, False]
+    assert [f["refine"] is None for f in atlas.summary["faces"]] == planar
+    assert [pr.residual == 0.0 for pr in atlas.params] == planar
+
+
+def test_parametrize_maps_the_plate_onto_the_unit_disk():
+    # projection is the pipeline's choice; parametrize is always the disk map
+    patch = _whole(concave_hole_plate())
+    param = parametrize(patch)
+    r = np.linalg.norm(param.uv, axis=1)
+    assert np.allclose(r[patch.loops[param.outer_loop]], 1.0, atol=1e-12)
+    assert (r <= 1.0 + 1e-9).all()
+    assert param.injective

@@ -410,7 +410,7 @@ def test_mesh_patch_uv_equals_the_serial_reference(build, h):
             with pytest.raises(MeshError, match=str(exc)):
                 mesh_patch_uv(*args)
             continue
-        res = mesh_patch_uv(*args)
+        res, _ = mesh_patch_uv(*args)
         assert np.array_equal(res.uv_points, pts), face
         assert np.array_equal(res.triangles, tris), face
         assert np.array_equal(res.sample_ids, ids), face
@@ -424,9 +424,8 @@ def test_stitch_dedupes_shared_keys():
     tris = np.array([[0, 1, 2]])
     xyz_a = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], dtype=float)
     xyz_b = np.array([[1, 0, 0], [0, 0, 0], [0, 1, 5]], dtype=float)
-    loc = UVLocator(uv, tris)
-    a = FaceMeshResult(uv, tris, np.array([0, 1, -1]), loc, xyz=xyz_a)
-    b = FaceMeshResult(uv, tris, np.array([1, 0, -1]), loc, xyz=xyz_b)
+    a = FaceMeshResult(uv, tris, np.array([0, 1, -1]), xyz=xyz_a)
+    b = FaceMeshResult(uv, tris, np.array([1, 0, -1]), xyz=xyz_b)
     out = stitch([a, b])
     assert out.n_vertices == 4  # two shared + two private
     assert np.array_equal(out.vertices, [xyz_a[0], xyz_a[1], xyz_a[2], xyz_b[2]])
@@ -518,3 +517,23 @@ def test_failed_output_validation_names_checks_triangles_and_faces():
                          str(exc))
     else:
         assert validate(out).ok
+
+
+def test_validation_error_names_a_degenerate_triangle_and_its_face(monkeypatch):
+    # the moved plate above no longer fails, so break one stitched triangle
+    # of face 2 on purpose: its third corner moves to a new vertex on the
+    # midpoint of its first edge
+    stitch_faces = pipeline.stitch
+
+    def degenerate(faces):
+        out = stitch_faces(faces)
+        t = int(np.flatnonzero(out.patch_tags == 2)[0])
+        a, b = out.vertices[out.triangles[t, :2]]
+        tris = out.triangles.copy()
+        tris[t, 2] = out.n_vertices
+        return Triangulation(np.vstack([out.vertices, (a + b) / 2.0]), tris,
+                             patch_tags=out.patch_tags)
+
+    monkeypatch.setattr(pipeline, "stitch", degenerate)
+    with pytest.raises(MeshError, match=r"failed validation: degenerate \(triangles \[\d+\] on faces \[2\]\)$"):
+        remesh_model(cube(), PipelineOptions(size=0.5))

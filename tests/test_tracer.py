@@ -8,7 +8,7 @@ functions by another route leaves its layer reading 0; this test notices.
 import sys
 from pathlib import Path
 
-from fixtures import cube
+from fixtures import cube, torus
 
 from atlasmesh import cli, pipeline, planar, remesh
 from atlasmesh.io import write_mesh
@@ -30,8 +30,10 @@ TRACED = [
 
 
 def test_tracer_sees_every_remesh_layer(tmp_path):
-    src = tmp_path / "cube.obj"
-    write_mesh(cube(), src)
+    # two of the six faces of this torus are flat annular bands: they are
+    # projected, the four curved ones refined and solved
+    src = tmp_path / "torus.obj"
+    write_mesh(torus(nu=12, nv=6), src)
     names = ["make_parametrizable", "parametrize", "longest_edge_bisection", "build_brep",
              "discretize_curve", "mesh_patch_uv", "map_to_3d", "stitch", "_run_parallel"]
     before = {name: getattr(pipeline, name) for name in names}
@@ -42,7 +44,7 @@ def test_tracer_sees_every_remesh_layer(tmp_path):
     tracer.install()
     try:
         assert all(getattr(pipeline, name) is not before[name] for name in names)
-        rc = cli.main(["remesh", str(src), "--size", "0.25", "-o", str(tmp_path / "o.msh")])
+        rc = cli.main(["remesh", str(src), "--size", "0.6", "-o", str(tmp_path / "o.msh")])
     finally:
         tracer.uninstall()
 
@@ -54,8 +56,10 @@ def test_tracer_sees_every_remesh_layer(tmp_path):
     # each face is flattened once, by the map the split check accepted
     assert tracer.uv_nonpositive == 0
     assert "atlas.trial_param_calls" not in tracer.counters
-    solves = [nid for nid, *_ in tracer.records if tracer.names[nid] == "param.solve"]
-    assert len(solves) == 6
+    seen = [tracer.names[nid] for nid, *_ in tracer.records]
+    assert seen.count("param.parametrize") == 6
+    assert seen.count("refine.longest_edge_bisection") == 4
+    assert seen.count("param.solve") == 4
     assert all(getattr(pipeline, name) is before[name] for name in names)
     assert remesh.UVLocator.locate is locate
     assert planar.PlanarMesh.split_edge is split
