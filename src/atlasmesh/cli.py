@@ -13,6 +13,7 @@ import numpy as np
 
 from . import io
 from .mesh import Adjacency, MeshError, Triangulation, euler_check, validate
+from .param import HOLE_POLICIES, SCHEMES
 from .pipeline import AtlasResult, PipelineOptions, build_atlas, quality_report, remesh_model
 from .verify import convergence_study
 
@@ -30,9 +31,8 @@ def _add_atlas_flags(p):
     d = PipelineOptions()
     p.add_argument("--angle", type=float, default=d.angle_deg,
                    help="feature dihedral threshold in degrees; 180 disables")
-    p.add_argument("--scheme", choices=["mvc", "fem"], default=d.scheme)
-    p.add_argument("--hole-policy", choices=["auto", "neumann", "fill"],
-                   default=d.hole_policy)
+    p.add_argument("--scheme", choices=SCHEMES, default=d.scheme)
+    p.add_argument("--hole-policy", choices=HOLE_POLICIES, default=d.hole_policy)
     p.add_argument("--hole-threshold", type=int, default=d.hole_threshold)
     p.add_argument("--max-triangles", type=int, default=d.max_triangles)
     p.add_argument("--refine-threshold", default=d.refine_threshold,
@@ -70,7 +70,7 @@ def build_parser():
     _add_atlas_flags(p)
 
     p = sub.add_parser("convergence", help="Laplace scheme convergence study")
-    p.add_argument("--scheme", choices=["mvc", "fem"], default="mvc")
+    p.add_argument("--scheme", choices=SCHEMES, default="mvc")
     p.add_argument("--mesh", choices=["structured", "delaunay"],
                    default="structured")
     p.add_argument("--resolutions", default=None,

@@ -123,6 +123,9 @@ class Adjacency:
     edge_tri : ndarray
         (E, 2) the first two triangles of each edge, in ascending id, with
         -1 where there is none.
+    misoriented : ndarray
+        (E,) True where both triangles of a two-triangle edge traverse it
+        in the same direction.
     boundary_edges : set
         Sorted vertex pairs of the edges with one triangle.
     """
@@ -144,12 +147,10 @@ class Adjacency:
         self.edge_tri[:, 0] = order[first] // 3
         self.edge_tri[two, 1] = order[first[two] + 1] // 3
         self._manifold = bool((self.edge_count <= 2).all())
-        # consistent orientation: no directed edge is traversed twice
-        forward = src < dst
-        pair = order[first[self.edge_count == 2][:, None] + np.arange(2)]
-        self._oriented = self._manifold and bool(
-            (forward[pair[:, 0]] != forward[pair[:, 1]]).all()
-        )
+        # the two triangles of an oriented edge traverse it in opposite directions
+        forward = np.bincount(self.half_edge, weights=src < dst, minlength=len(keys))
+        self.misoriented = (self.edge_count == 2) & (forward != 1)
+        self._oriented = self._manifold and not self.misoriented.any()
         self.boundary_edges = set(map(tuple, self.edges[self.edge_count == 1].tolist()))
 
     @property

@@ -58,6 +58,8 @@ def _clamp_angles(theta):
     return clipped
 
 
+SCHEMES = ("mvc", "fem")
+HOLE_POLICIES = ("auto", "neumann", "fill")
 # the six (row, column) corner pairs of a triangle, in weight order
 PAIRS = ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1))
 
@@ -107,6 +109,13 @@ class ParamOptions:
     scheme: str = "mvc"
     hole_policy: str = "auto"
     hole_threshold: int = 100
+
+    def check(self):
+        """Raise MeshError for a scheme or hole policy that is not known."""
+        if self.scheme not in SCHEMES:
+            raise MeshError(f"unknown scheme: {self.scheme}")
+        if self.hole_policy not in HOLE_POLICIES:
+            raise MeshError(f"unknown hole policy: {self.hole_policy}")
 
 
 @dataclass
@@ -225,8 +234,7 @@ def assemble_system(patch: Patch, opt: ParamOptions) -> AssembledSystem:
     couplings run in W's COO order, then hole by hole, so runs are bit
     reproducible.
     """
-    if opt.hole_policy not in ("auto", "neumann", "fill"):
-        raise MeshError(f"unknown hole policy: {opt.hole_policy}")
+    opt.check()
     outer_loop, boundary_uv = apply_boundary(patch)
     n = patch.tri.n_vertices
     W = scheme_weight_matrix(patch.tri.vertices, patch.tri.triangles, opt.scheme).tocoo()

@@ -45,6 +45,7 @@ def build_atlas(model: Triangulation, opt: PipelineOptions | None = None) -> Atl
     opt = opt or PipelineOptions()
     if model.n_triangles == 0:
         raise MeshError("input has no triangles")
+    opt.check()
     if opt.max_triangles < 1:
         raise MeshError(f"max_triangles must be at least 1, got {opt.max_triangles}")
     # None: each patch's default_threshold, or no refinement at all
@@ -175,15 +176,7 @@ def face_sample_loops(atlas: AtlasResult, face_id, curves):
 def _validation_error(out: Triangulation, report):
     """A MeshError naming each failed output check, its triangles and faces."""
     adj = Adjacency(out)
-    # the two triangles of an oriented edge traverse it in opposite directions
-    forward = np.bincount(
-        adj.half_edge, weights=out.triangles.ravel() < out.triangles[:, [1, 2, 0]].ravel(),
-        minlength=adj.n_edges,
-    )
-    bad_edges = {
-        "manifold": adj.edge_count > 2,
-        "oriented": (adj.edge_count == 2) & (forward != 1),
-    }
+    bad_edges = {"manifold": adj.edge_count > 2, "oriented": adj.misoriented}
     faults = {name: np.unique(np.flatnonzero(bad[adj.half_edge]) // 3)
               for name, bad in bad_edges.items()}
     faults["degenerate"] = np.asarray(report.degenerate_triangles, dtype=np.int64)

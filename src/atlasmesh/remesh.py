@@ -21,7 +21,6 @@ from .quality import metric_tensor, triangle_jacobian
 
 METRIC_LONG = 1.4
 METRIC_SHORT = 0.7
-GAUSS = (0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0))
 
 
 class UVLocator:
@@ -195,41 +194,33 @@ class FaceMetric:
         return self.tensors[t]
 
     def edge_lengths(self, P, Q):
-        """(n,) metric lengths of segments P[k] -> Q[k], two Gauss points each."""
+        """(n,) metric lengths of segments P[k] -> Q[k], each under the
+        tensor at its midpoint: the point a split of it inserts."""
         P = np.asarray(P, dtype=np.float64).reshape(-1, 2)
-        D = np.asarray(Q, dtype=np.float64).reshape(-1, 2) - P
-        D2 = np.concatenate([D, D])
-        M = self.at(np.concatenate([P + g * D for g in GAUSS]))
-        half = 0.5 * np.sqrt(np.maximum((D2[:, None, :] @ M @ D2[:, :, None])[:, 0, 0], 0.0))
-        return half[:len(P)] + half[len(P):]
-
-
-def metric_angles(M, U, V):
-    """(n,) angles between U[k] and V[k] under the (n, 2, 2) tensors M[k].
-
-    A zero-length vector gives the angle 0.  The products are stacked
-    `@`, which rounds as `u @ M @ v` of one pair of vectors does; an
-    explicit `u0 * M00 + u1 * M10` may not, where `@` fuses a multiply
-    and an add.
-    """
-    UM = U[:, None, :] @ M
-    nu = np.sqrt(np.maximum((UM @ U[:, :, None])[:, 0, 0], 0.0))
-    nv = np.sqrt(np.maximum(((V[:, None, :] @ M) @ V[:, :, None])[:, 0, 0], 0.0))
-    zero = (nu == 0.0) | (nv == 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        c = (UM @ V[:, :, None])[:, 0, 0] / (nu * nv)
-        return np.where(zero, 0.0, np.arccos(np.minimum(np.maximum(c, -1.0), 1.0)))
+        Q = np.asarray(Q, dtype=np.float64).reshape(-1, 2)
+        D = Q - P
+        M = self.at(0.5 * (P + Q))
+        return np.sqrt(np.maximum((D[:, None, :] @ M @ D[:, :, None])[:, 0, 0], 0.0))
 
 
 def flip_wanted(M, P):
     """(n,) metric Delaunay test of the (n, 4, 2) quads (a, b, c, d) of edges
     ab with opposite vertices c and d: the angles at c and d under the
-    (n, 2, 2) tensors M sum to more than pi."""
+    (n, 2, 2) tensors M sum to more than pi.
+
+    At o = c, d with u, v = a - o, b - o, the angle's cosine and sine are
+    `u^T M v` and `|u x v| sqrt(det M)` over the same positive product of
+    metric norms, so sin(alpha + beta) has the sign of
+    `cross_c * dot_d + dot_c * cross_d`.  The stacked `@` rounds as
+    `u @ M @ v` of one pair of vectors does.
+    """
     D = P[:, :2, None] - P[:, None, 2:]  # D[:, i, j] = P[:, i] - P[:, 2 + j]
-    U = D[:, 0].reshape(-1, 2)  # a - c, a - d
-    V = D[:, 1].reshape(-1, 2)  # b - c, b - d
-    ang = metric_angles(np.repeat(M, 2, axis=0), U, V).reshape(-1, 2)
-    return ang[:, 0] + ang[:, 1] > np.pi + 1e-9
+    U = D[:, 0, :, None, :]  # (n, 2, 1, 2): a - c, a - d
+    V = D[:, 1, :, :, None]  # (n, 2, 2, 1): b - c, b - d
+    dot = ((U @ M[:, None]) @ V)[:, :, 0, 0]
+    cross = np.abs(U[:, :, 0, 0] * V[:, :, 1, 0] - U[:, :, 0, 1] * V[:, :, 0, 0])
+    s = cross[:, 0] * dot[:, 1] + dot[:, 0] * cross[:, 1]
+    return s < -1e-9 * (cross[:, 0] * np.abs(dot[:, 1]) + np.abs(dot[:, 0]) * cross[:, 1])
 
 
 def discretize_curve(points3d, h, closed=False):
@@ -245,7 +236,7 @@ def discretize_curve(points3d, h, closed=False):
     if nseg < 1:
         raise MeshError("empty curve")
     vec = np.roll(pts, -1, axis=0)[:nseg] - pts[:nseg]
-    seg_len = np.asarray([float(np.linalg.norm(v)) for v in vec])
+    seg_len = np.sqrt((vec[:, None, :] @ vec[:, :, None])[:, 0, 0])
     total = float(seg_len.sum())
     n = max(1, int(round(total / h)))
     if closed:
@@ -335,14 +326,14 @@ def mesh_patch_uv(
             want[i] = w
 
     # Split, collapse and flip each read the metric in one call at their
-    # start.  Splits act on the lengths they start with, and collapses and
-    # flips move no vertex that survives, so every edge they visit still
-    # has the ends it had then.  The flip test of every edge is made at the
-    # start too; a flip changes the quads of the four edges around it, and
-    # those not yet visited are tested again, together, when the sweep
-    # reaches the first of them.  Smoothing moves vertices and stays
-    # serial.  Vertices past n_fixed are interior: no constrained edge is
-    # split.
+    # start, one tensor per edge at its midpoint.  Splits act on the
+    # lengths they start with, and collapses and flips move no vertex that
+    # survives, so every edge they visit still has the ends it had then.
+    # The flip test of every edge is made at the start too; a flip changes
+    # the quads of the four edges around it, and those not yet visited are
+    # tested again, together, when the sweep reaches the first of them.
+    # Smoothing moves vertices and stays serial.  Vertices past n_fixed
+    # are interior: no constrained edge is split.
     counts = dict.fromkeys(("splits", "collapses", "flips", "moves"), 0)
     done = 0
     converged = False

@@ -214,9 +214,11 @@ def random_disk_fixture(seed):
     if kind == 2:  # high-aspect strip, gently curved out of plane
         L = float(rng.uniform(6.0, 12.0))
         w = float(rng.uniform(0.2, 0.5))
-        outer = [(0, 0), (L, 0), (L, w), (0, w)]
+        # long sides sampled at w / 2, so the grid at w / 2 adds an interior row
+        xs = np.linspace(0.0, L, int(np.ceil(2.0 * L / w)) + 1)
+        outer = [(x, 0.0) for x in xs] + [(x, w) for x in xs[::-1]]
         return planar_fixture(
-            outer, spacing=w, z=lambda x, y: 0.2 * np.sin(x / 2.0)
+            outer, spacing=0.5 * w, z=lambda x, y: 0.2 * np.sin(x / 2.0)
         )
     # coarse-ish cylinder shell
     return cylinder_shell(

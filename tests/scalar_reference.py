@@ -1,14 +1,16 @@
 """The UV adaptation loop as it was before its predicates were batched.
 
-`mesh_patch_uv` tests each flip with stacked metric angles, locates a
-smoothing target by scanning its cell in Python floats, clips with one
-vectorised winding-number evaluation and reads vertex boundary flags
-from a set; its `PlanarMesh` keeps points as Python floats.  The copies
-below do the same work one item at a time: a scalar angle per opposite
-vertex, a `locate_many` call per smoothed vertex, a winding-number loop
-per triangle, a boundary test that scans the vertex's edges, and a
-planar mesh with numpy points.  The batched loop must make the same
-edits in the same order, so both give the same arrays.
+`mesh_patch_uv` reads one metric tensor per edge for a whole phase,
+tests flips with one stacked sign test, locates a smoothing target by
+scanning its cell in Python floats, clips with one vectorised
+winding-number evaluation and reads vertex boundary flags from a set;
+its `PlanarMesh` keeps points as Python floats.  The copies below do the
+same work one item at a time: a `locate` call per edge midpoint, a
+scalar sign test per quad, a `locate_many` call per smoothed vertex, a
+winding-number loop per triangle, a boundary test that scans the
+vertex's edges, and a planar mesh with numpy points.  The batched loop
+must make the same edits in the same order, so both give the same
+arrays.
 
 `reference_build_brep` is the BREP builder as it was before it became
 one walk over the face loops: edge and vertex-star dicts, a chain from
@@ -22,17 +24,20 @@ from atlasmesh import planar
 from atlasmesh.atlas import BRep, Curve, Face
 from atlasmesh.mesh import MeshError, signed_uv_areas
 from atlasmesh.planar import _orient
-from atlasmesh.remesh import GAUSS, METRIC_LONG, METRIC_SHORT, FaceMetric
+from atlasmesh.remesh import METRIC_LONG, METRIC_SHORT, FaceMetric
 
 
-def scalar_angle(M, u, v):
-    """Angle between u and v under the 2x2 tensor M; 0 for a zero vector."""
-    nu = float(np.sqrt(max(u @ M @ u, 0.0)))
-    nv = float(np.sqrt(max(v @ M @ v, 0.0)))
-    if nu == 0.0 or nv == 0.0:
-        return 0.0
-    c = float(u @ M @ v) / (nu * nv)
-    return float(np.arccos(min(max(c, -1.0), 1.0)))
+def scalar_flip_wanted(M, p):
+    """Metric Delaunay test of one quad p = (a, b, c, d) of edge ab under
+    the 2x2 tensor M: the sign of sin(alpha + beta) from the cosine and
+    sine numerators of the angles at c and d."""
+    dot, cross = [], []
+    for o in (p[2], p[3]):
+        u, v = p[0] - o, p[1] - o
+        dot.append(float(u @ M @ v))
+        cross.append(abs(float(u[0]) * float(v[1]) - float(u[1]) * float(v[0])))
+    s = cross[0] * dot[1] + dot[0] * cross[1]
+    return s < -1e-9 * (cross[0] * abs(dot[1]) + abs(dot[0]) * cross[1])
 
 
 def scalar_winding_number(point, loops):
@@ -249,15 +254,18 @@ def scalar_clip(mesh, loops_xy):
             mesh._remove_tri(tid)
 
 
+def edge_tensor(metric, p, q):
+    """The metric tensor of edge pq: one `locate` at its midpoint."""
+    return metric.tensors[metric.locator.locate(0.5 * (p + q), clamp=True)[0]]
+
+
 def edge_lengths(metric, P, Q):
-    """Metric lengths with one tensor lookup per Gauss point."""
-    P = np.asarray(P, dtype=np.float64).reshape(-1, 2)
-    D = np.asarray(Q, dtype=np.float64).reshape(-1, 2) - P
-    total = 0.0
-    for g in GAUSS:
-        sq = (D[:, None, :] @ metric.at(P + g * D) @ D[:, :, None])[:, 0, 0]
-        total = total + 0.5 * np.sqrt(np.maximum(sq, 0.0))
-    return total
+    """Metric lengths, one edge at a time."""
+    out = []
+    for p, q in zip(P, Q):
+        d = q - p
+        out.append(float(np.sqrt(max(d @ edge_tensor(metric, p, q) @ d, 0.0))))
+    return np.asarray(out)
 
 
 def reference_mesh_patch_uv(patch, param, loops, h, passes=10):
@@ -307,15 +315,13 @@ def reference_mesh_patch_uv(patch, param, loops, h, passes=10):
                 changed = True
                 counts["collapses"] += 1
         edges = [e for e in sorted(mesh.edges()) if e not in mesh.constrained]
-        a, b = ends(edges)
-        for e, M in zip(edges, metric.at(0.5 * (a + b))):
+        for e, M in [(e, edge_tensor(metric, *(mesh.points[v] for v in e))) for e in edges]:
             tids = mesh.e2t.get(e, ())
             if len(tids) != 2:
                 continue
             opp = [next(v for v in mesh.tris[t] if v not in e) for t in tids]
-            pa, pb = mesh.points[e[0]], mesh.points[e[1]]
-            ang = sum(scalar_angle(M, pa - mesh.points[o], pb - mesh.points[o]) for o in opp)
-            if ang > np.pi + 1e-9 and mesh.flip(e):
+            quad = np.asarray([mesh.points[v] for v in (*e, *opp)])
+            if scalar_flip_wanted(M, quad) and mesh.flip(e):
                 changed = True
                 counts["flips"] += 1
         for v in range(n_fixed, len(mesh.points)):

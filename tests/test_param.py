@@ -399,8 +399,6 @@ PLANAR_MODELS = {
     "plate": concave_hole_plate,
     "disk0": lambda: random_disk_fixture(0),
     "disk1": lambda: random_disk_fixture(1),
-    # the "curved" strip has no interior vertex: its four corners are coplanar
-    "disk2": lambda: random_disk_fixture(2),
     "frame": lambda: Triangulation(*models.square_frame(10)),
 }
 
@@ -440,6 +438,7 @@ def test_projection_outer_loop_has_the_largest_area():
 CURVED_MODELS = {
     "strip": lambda: planar_fixture(
         [(0, 0), (8, 0), (8, 0.4), (0, 0.4)], spacing=0.2, z=lambda x, y: 0.2 * np.sin(x / 2.0)),
+    "disk2": lambda: random_disk_fixture(2),
     "shell": lambda: random_disk_fixture(3),
     "cylinder": cylinder_shell,
 }

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fixtures import concave_hole_plate, cube, cylinder_shell, random_disk_fixture, sphere, torus
-from scalar_reference import reference_mesh_patch_uv, scalar_angle
+from scalar_reference import reference_mesh_patch_uv, scalar_flip_wanted
 
 from atlasmesh import pipeline, remesh
 from atlasmesh.mesh import MeshError, Triangulation, validate
@@ -21,14 +21,12 @@ from atlasmesh.pipeline import (
     remesh_model,
 )
 from atlasmesh.remesh import (
-    GAUSS,
     FaceMeshResult,
     FaceMetric,
     UVLocator,
     discretize_curve,
     flip_wanted,
     mesh_patch_uv,
-    metric_angles,
     stitch,
 )
 from atlasmesh.verify import build_square_mesh
@@ -55,6 +53,17 @@ def test_threads_below_one_are_rejected(monkeypatch, threads):
     monkeypatch.setattr(pipeline, "build_atlas", no_atlas)
     with pytest.raises(MeshError, match=f"threads must be at least 1, got {threads}"):
         remesh_model(cube(), PipelineOptions(size=0.25, threads=threads))
+
+
+@pytest.mark.parametrize("name,value", [("scheme", "foo"), ("hole_policy", "bar")])
+def test_unknown_options_are_rejected_before_segmentation(monkeypatch, name, value):
+    # a cube's faces are all projected, so no solve would reach the value
+    def no_segmentation(*args):
+        raise AssertionError("the model was segmented before the options were checked")
+
+    monkeypatch.setattr(pipeline, "segment_patches", no_segmentation)
+    with pytest.raises(MeshError, match=f"unknown {name.replace('_', ' ')}: {value}"):
+        remesh_model(cube(), PipelineOptions(size=0.25, **{name: value}))
 
 
 def test_empty_model_is_rejected():
@@ -282,6 +291,7 @@ def test_locate_many_rejects_the_first_outside_point(uv_faces):
 
 
 def test_edge_lengths_equal_scalar_gauss_formula(uv_faces):
+    # one tensor per edge, at its midpoint
     for k, (name, patch, param) in enumerate(uv_faces):
         metric = FaceMetric(patch, param, 0.3)
         ref = PointLocator(param.uv, patch.tri.triangles)
@@ -291,11 +301,8 @@ def test_edge_lengths_equal_scalar_gauss_formula(uv_faces):
         want = []
         for p, q in zip(P, Q):
             d = q - p
-            total = 0.0
-            for g in GAUSS:
-                M = metric.tensors[ref.locate(p + g * d, clamp=True)[0]]
-                total += 0.5 * float(np.sqrt(max(d @ M @ d, 0.0)))
-            want.append(total)
+            M = metric.tensors[ref.locate(0.5 * (p + q), clamp=True)[0]]
+            want.append(float(np.sqrt(max(d @ M @ d, 0.0))))
         assert np.array_equal(metric.edge_lengths(P, Q), want), name
 
 
@@ -369,21 +376,30 @@ def _quads_and_tensors(n, seed):
     return P, M
 
 
+def angle_sum(M, p):
+    """The angles at c and d of the quad p = (a, b, c, d) under M, summed:
+    the flip rule the sign test replaced."""
+    total = 0.0
+    for o in (p[2], p[3]):
+        u, v = p[0] - o, p[1] - o
+        nu, nv = np.sqrt(max(u @ M @ u, 0.0)), np.sqrt(max(v @ M @ v, 0.0))
+        if nu > 0.0 and nv > 0.0:
+            total += np.arccos(min(max(u @ M @ v / (nu * nv), -1.0), 1.0))
+    return total
+
+
 def test_stacked_flip_angles_equal_the_scalar_formula():
     P, M = _quads_and_tensors(4000, 0)
-    for o in (2, 3):
-        U, V = P[:, 0] - P[:, o], P[:, 1] - P[:, o]
-        want = [scalar_angle(m, u, v) for m, u, v in zip(M, U, V)]
-        assert np.array_equal(metric_angles(M, U, V), want)
-        assert np.array_equal(metric_angles(M[:1], U[:1], V[:1]), want[:1])
-    decide = [
-        sum(scalar_angle(m, p[0] - p[o], p[1] - p[o]) for o in (2, 3)) > np.pi + 1e-9
-        for m, p in zip(M, P)
-    ]
+    decide = [scalar_flip_wanted(m, p) for m, p in zip(M, P)]
     assert np.array_equal(flip_wanted(M, P), decide)
     assert 0 < sum(decide) < len(decide)
     for i in range(0, len(P), 97):  # one quad at a time, as the serial sweep asks
         assert flip_wanted(M[i:i + 1], P[i:i + 1])[0] == decide[i]
+    # the sign of sin(alpha + beta) is the angle-sum rule away from pi
+    angles = np.array([angle_sum(m, p) for m, p in zip(M, P)])
+    clear = np.abs(angles - np.pi) > 1e-6
+    assert clear.sum() > 0.9 * len(P)
+    assert np.array_equal(np.asarray(decide)[clear], angles[clear] > np.pi)
 
 
 ADAPT_CASES = [
