@@ -90,11 +90,14 @@ def first_occurrence(keys):
     first occurrence, ascending, and per key the rank of its first
     occurrence among them, so keys[first][index] equals keys.
     """
-    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty(len(first), dtype=np.int64)
-    rank[order] = np.arange(len(first))
-    return first[order], rank[inverse.ravel()]
+    cols = np.column_stack([keys])  # (n, k); (n,) keys are one column
+    order = np.lexsort(cols.T)  # stable: each run of equal rows starts at its first occurrence
+    new = np.ones(len(cols), dtype=bool)
+    new[1:] = (cols[order[1:]] != cols[order[:-1]]).any(axis=1)
+    first = order[new]
+    index = np.empty(len(cols), dtype=np.int64)
+    index[order] = np.argsort(np.argsort(first))[np.cumsum(new) - 1]
+    return np.sort(first), index
 
 
 def signed_uv_areas(triangles, uv):

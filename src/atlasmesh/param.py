@@ -138,6 +138,7 @@ class Parametrization:
     residual: float
     outer_loop: int
     center_uv: dict = field(default_factory=dict)  # filled hole loop -> (u, v)
+    isometry: bool = False  # uv is an orthogonal projection: the metric is I / h^2
 
 
 def loop_lengths(patch: Patch, loop):
@@ -336,7 +337,7 @@ def projection(patch: Patch) -> Parametrization | None:
         (x, y), (nx, ny) = uv[lp].T, uv[np.roll(lp, -1)].T
         loop_areas.append(float((x * ny - nx * y).sum()))  # twice the shoelace area
     return Parametrization(uv=uv, signed_areas=areas, injective=True, residual=0.0,
-                           outer_loop=int(np.argmax(loop_areas)))
+                           outer_loop=int(np.argmax(loop_areas)), isometry=True)
 
 
 def parametrize(patch: Patch, options: ParamOptions | None = None) -> Parametrization:

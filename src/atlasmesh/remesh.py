@@ -180,16 +180,25 @@ class UVLocator:
 
 
 class FaceMetric:
-    """Piecewise-constant metric of a parametrized patch at target size h."""
+    """The metric J^T J / h^2 of a parametrized patch at target size h.
+
+    Piecewise constant, one tensor per parametric triangle, read at a
+    point by locating it.  A projection (`param.isometry`) has J^T J = I,
+    so `tensors` is None and every point reads `uniform`, I / h^2,
+    without point location.  `locator` also serves smoothing and `map_to_3d`.
+    """
 
     def __init__(self, patch, param, h):
         tris = patch.tri.triangles
         self.locator = UVLocator(param.uv, tris)
-        J = triangle_jacobian(patch.tri.vertices[tris], param.uv[tris])
-        self.tensors = metric_tensor(J, h)  # (m, 2, 2), one per triangle
+        self.uniform = metric_tensor(np.eye(3, 2), h) if param.isometry else None
+        self.tensors = None if param.isometry else metric_tensor(  # (m, 2, 2)
+            triangle_jacobian(patch.tri.vertices[tris], param.uv[tris]), h)
 
     def at(self, X):
         """(n, 2, 2) metric tensors at (n, 2) points."""
+        if self.uniform is not None:
+            return np.broadcast_to(self.uniform, (np.size(X) // 2, 2, 2))
         t, _ = self.locator.locate_many(X, clamp=True)
         return self.tensors[t]
 

@@ -5,7 +5,8 @@ tests flips with one stacked sign test, locates a smoothing target by
 scanning its cell in Python floats, clips with one vectorised
 winding-number evaluation and reads vertex boundary flags from a set;
 its `PlanarMesh` keeps points as Python floats.  The copies below do the
-same work one item at a time: a `locate` call per edge midpoint, a
+same work one item at a time: a `locate` call per edge midpoint (none
+on a projected face, whose one tensor is `FaceMetric.uniform`), a
 scalar sign test per quad, a `locate_many` call per smoothed vertex, a
 winding-number loop per triangle, a boundary test that scans the
 vertex's edges, and a planar mesh with numpy points.  The batched loop
@@ -255,7 +256,10 @@ def scalar_clip(mesh, loops_xy):
 
 
 def edge_tensor(metric, p, q):
-    """The metric tensor of edge pq: one `locate` at its midpoint."""
+    """The metric tensor of edge pq: the uniform tensor of a projected
+    face, else one `locate` at its midpoint."""
+    if metric.uniform is not None:
+        return metric.uniform
     return metric.tensors[metric.locator.locate(0.5 * (p + q), clamp=True)[0]]
 
 

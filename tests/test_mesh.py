@@ -9,6 +9,7 @@ from atlasmesh.mesh import (
     Triangulation,
     boundary_loops,
     euler_check,
+    first_occurrence,
     validate,
 )
 
@@ -138,3 +139,36 @@ def test_euler_check_rejects_nonmanifold():
     )
     with pytest.raises(MeshError):
         euler_check(Triangulation(v, [[0, 1, 2], [0, 3, 1], [0, 1, 4]]))
+
+
+def _unique_first_occurrence(keys):
+    """The np.unique formulation that first_occurrence replaced."""
+    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[order] = np.arange(len(first))
+    return first[order], rank[inverse.ravel()]
+
+
+def test_first_occurrence_equals_the_unique_formulation():
+    rng = np.random.default_rng(3)
+    signed_zeros = np.array([[0.0, 1.0, 2.0], [-0.0, 1.0, 2.0], [1.0, -0.0, 0.0],
+                             [1.0, 0.0, -0.0], [0.0, 1.0, 2.0]])
+    cases = {
+        "rows with duplicates": rng.integers(0, 4, (500, 3)) / 4.0,
+        "float32 rows": (rng.integers(0, 6, (300, 3)) / 3.0).astype(np.float32),
+        "signed zeros": signed_zeros,
+        "1-D integers": rng.integers(-3, 40, 400),
+        "one row": np.array([[0.5, -1.0, 2.0]]),
+        "zero rows": np.zeros((0, 3)),
+        "zero integers": np.zeros(0, dtype=np.int64),
+    }
+    for name, keys in cases.items():
+        first, index = first_occurrence(keys)
+        want_first, want_index = _unique_first_occurrence(keys)
+        assert first.dtype == index.dtype == np.int64, name
+        assert np.array_equal(first, want_first), name
+        assert np.array_equal(index, want_index), name
+        assert np.array_equal(keys[first][index], keys), name
+    first, index = first_occurrence(signed_zeros)
+    assert first.tolist() == [0, 2] and index.tolist() == [0, 0, 1, 1, 0]

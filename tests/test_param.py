@@ -416,7 +416,7 @@ def test_planar_faces_are_projected_isometrically(name, placement):
         mesh = Triangulation(models.place(mesh.vertices, 77, placement), mesh.triangles)
     atlas = build_atlas(mesh)
     for patch, param, face in zip(atlas.patches, atlas.params, atlas.summary["faces"]):
-        assert face["refine"] is None and param.residual == 0.0
+        assert face["refine"] is None and param.residual == 0.0 and param.isometry
         assert np.array_equal(projection(patch).uv, param.uv)
         assert param.injective and (param.signed_areas > 0.0).all()
         uv_len = _edge_lengths(param.uv, patch.tri.triangles)
@@ -457,6 +457,7 @@ def test_torus_projects_its_flat_bands_only():
     assert planar == [False, True, False, False, True, False]
     assert [f["refine"] is None for f in atlas.summary["faces"]] == planar
     assert [pr.residual == 0.0 for pr in atlas.params] == planar
+    assert [pr.isometry for pr in atlas.params] == planar
 
 
 def test_parametrize_maps_the_plate_onto_the_unit_disk():
@@ -466,4 +467,4 @@ def test_parametrize_maps_the_plate_onto_the_unit_disk():
     r = np.linalg.norm(param.uv, axis=1)
     assert np.allclose(r[patch.loops[param.outer_loop]], 1.0, atol=1e-12)
     assert (r <= 1.0 + 1e-9).all()
-    assert param.injective
+    assert param.injective and not param.isometry

@@ -20,6 +20,7 @@ from atlasmesh.pipeline import (
     face_sample_loops,
     remesh_model,
 )
+from atlasmesh.quality import metric_tensor, triangle_jacobian
 from atlasmesh.remesh import (
     FaceMeshResult,
     FaceMetric,
@@ -304,6 +305,76 @@ def test_edge_lengths_equal_scalar_gauss_formula(uv_faces):
             M = metric.tensors[ref.locate(0.5 * (p + q), clamp=True)[0]]
             want.append(float(np.sqrt(max(d @ M @ d, 0.0))))
         assert np.array_equal(metric.edge_lengths(P, Q), want), name
+
+
+def _face_queries(metric, seed):
+    """Segment end points (P, Q): the face's UV vertices and points around
+    its domain, each paired with the point three rows back."""
+    _, outside = _queries(metric.locator.uv, metric.locator.tris, seed)
+    P = np.concatenate([metric.locator.uv, outside])
+    return P, np.roll(P, 3, axis=0)
+
+
+PROJECTED_MODELS = {
+    "cube": cube,
+    "plate": concave_hole_plate,
+    "frame": lambda: Triangulation(*models.square_frame(10)),
+}
+
+
+@pytest.mark.parametrize("placement", [None, 0, 1, 2])
+@pytest.mark.parametrize("name", sorted(PROJECTED_MODELS))
+def test_projected_face_reads_one_uniform_tensor_without_locating(name, placement, monkeypatch):
+    mesh = PROJECTED_MODELS[name]()
+    if placement is not None:
+        mesh = Triangulation(models.place(mesh.vertices, 77, placement), mesh.triangles)
+    h = 0.3
+    atlas = build_atlas(mesh, PipelineOptions(size=h))
+    metrics = [FaceMetric(patch, param, h) for patch, param in zip(atlas.patches, atlas.params)]
+
+    def no_location(*args, **kwargs):
+        raise AssertionError("a projected face located a point for its metric")
+
+    monkeypatch.setattr(UVLocator, "locate_many", no_location)
+    for face, (patch, param, metric) in enumerate(zip(atlas.patches, atlas.params, metrics)):
+        assert param.isometry and metric.tensors is None, face
+        assert np.array_equal(metric.uniform, np.eye(2) / (h * h)), face
+        P, Q = _face_queries(metric, face)
+        M = metric.at(0.5 * (P + Q))
+        assert M.shape == (len(P), 2, 2) and (M == metric.uniform).all(), face
+        D = Q - P
+        want = np.sqrt(np.einsum("ni,ij,nj->n", D, metric.uniform, D))
+        assert np.allclose(metric.edge_lengths(P, Q), want, rtol=1e-15, atol=0.0), face
+        # the tensor every triangle of the projection reads is I / h^2 up to rounding
+        tris = patch.tri.triangles
+        per_triangle = metric_tensor(triangle_jacobian(patch.tri.vertices[tris], param.uv[tris]), h)
+        assert (np.abs(per_triangle - metric.uniform) <= 1e-12 / (h * h)).all(), face
+
+
+@pytest.mark.parametrize("name, build", [("torus", torus), ("disk2", lambda: random_disk_fixture(2))])
+def test_curved_face_reads_per_triangle_tensors(name, build, monkeypatch):
+    h = 0.3
+    atlas = build_atlas(build(), PipelineOptions(size=h))
+    located = []
+    locate_many = UVLocator.locate_many
+
+    def counting(self, X, clamp=False):
+        located.append(len(X))
+        return locate_many(self, X, clamp)
+
+    monkeypatch.setattr(UVLocator, "locate_many", counting)
+    curved = [(patch, param) for patch, param in zip(atlas.patches, atlas.params)
+              if not param.isometry]
+    assert curved, name
+    for face, (patch, param) in enumerate(curved):
+        metric = FaceMetric(patch, param, h)
+        assert metric.uniform is None and len(metric.tensors) == patch.tri.n_triangles
+        P, Q = _face_queries(metric, face)
+        located.clear()
+        M = metric.at(0.5 * (P + Q))
+        assert located == [len(P)], (name, face)
+        t, _ = locate_many(metric.locator, 0.5 * (P + Q), clamp=True)
+        assert np.array_equal(M, metric.tensors[t]), (name, face)
 
 
 def test_locate_equals_point_locator_on_walls_edges_and_vertices(uv_faces):
