@@ -11,7 +11,7 @@ import numpy as np
 from .atlas import BRep, build_brep, make_parametrizable
 from .features import detect_feature_edges, segment_patches
 from .mesh import Adjacency, MeshError, Triangulation, validate
-from .param import ParamOptions, projection
+from .param import ParamOptions, Parametrization, projection
 from .param import parametrize as disk_map  # the name `parametrize` is this module's face map
 from .patch import Patch
 from .quality import patch_quality
@@ -66,13 +66,15 @@ def build_atlas(model: Triangulation, opt: PipelineOptions | None = None) -> Atl
     segmentation = segment_patches(model, adj, features)
 
     def prepare(p):
-        # a planar patch is projected, and needs no refinement
-        report = None
-        if opt.refine_threshold is not None and projection(p) is None:
+        # a planar patch is projected, and needs no refinement; a refined
+        # patch is a different patch, with its own test
+        report, flat = None, projection(p)
+        if opt.refine_threshold is not None and flat is None:
             p, report = longest_edge_bisection(
                 p, length_threshold=thr, max_rounds=opt.refine_rounds
             )
-        return p, parametrize(p, opt), report
+            flat = projection(p)
+        return p, parametrize(p, opt, flat), report
 
     seeds = [Patch(model, segmentation.triangles_of(pid)) for pid in range(segmentation.n_patches)]
     results, split_records = make_parametrizable(seeds, opt.max_triangles, prepare)
@@ -106,9 +108,9 @@ def build_atlas(model: Triangulation, opt: PipelineOptions | None = None) -> Atl
     )
 
 
-def parametrize(patch: Patch, opt: ParamOptions):
-    """A face's map: the projection of a planar patch onto its plane, else the disk map."""
-    flat = projection(patch)
+def parametrize(patch: Patch, opt: ParamOptions, flat: Parametrization | None):
+    """A face's map: `flat`, the projection of a planar patch onto its plane
+    (`param.projection(patch)`), else the disk map."""
     return disk_map(patch, opt) if flat is None else flat
 
 

@@ -39,8 +39,10 @@ class UVLocator:
     therefore scans its own cell only; a query whose cell holds no
     triangle with margin >= -tol (a point outside the domain) scans every
     non-degenerate triangle.  `locate` scans one point's cell in Python
-    floats with the same expressions as `locate_many`, so both give the
-    same answer.
+    floats with the same expressions as `locate_many`, over its
+    candidates' rows of `_coef`, and clips and normalises the winner's
+    weights as `locate_many` does (a clipped -0.0 is +0.0), so both give
+    the same answer bit for bit.
     """
 
     BLOCK = 1 << 12  # (query, triangle) pairs evaluated at once: bounds the temporaries
@@ -55,8 +57,8 @@ class UVLocator:
         d = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
         self._degenerate = d == 0.0
         self._valid = np.flatnonzero(~self._degenerate)
-        # rows: corner 0 (x, y), edge 1 (x, y), edge 2 (x, y), determinant
-        self._coef = np.vstack([p[:, 0].T, e1.T, e2.T, np.where(self._degenerate, 1.0, d)])
+        # (m, 7) rows: corner 0 (x, y), edge 1 (x, y), edge 2 (x, y), determinant
+        self._coef = np.column_stack([p[:, 0], e1, e2, np.where(self._degenerate, 1.0, d)])
         m = len(self.tris)
         lo = self.uv.min(axis=0)
         ext = np.maximum(self.uv.max(axis=0) - lo, 1e-30)
@@ -91,7 +93,8 @@ class UVLocator:
     @staticmethod
     def _weights(qx, qy, ax, ay, e1x, e1y, e2x, e2y, d):
         """Barycentric weights (w0, w1, w2) of points (qx, qy) in triangles
-        given by their columns of `_coef`: floats or broadcasting arrays."""
+        given by the columns of their rows of `_coef`: floats or
+        broadcasting arrays."""
         rx = qx - ax
         ry = qy - ay
         w1 = (rx * e2y - ry * e2x) / d
@@ -121,7 +124,7 @@ class UVLocator:
             c = cnt[rows]
             first = np.cumsum(c) - c
             cand = lists[np.arange(first[-1] + c[-1]) - np.repeat(first - start[rows], c)]
-            w0, w1, w2 = self._weights(*Q[np.repeat(rows, c)].T, *self._coef[:, cand])
+            w0, w1, w2 = self._weights(*Q[np.repeat(rows, c)].T, *self._coef[cand].T)
             margin = np.minimum(np.minimum(w0, w1), w2)
             mx = np.maximum.reduceat(margin, first)
             hit = np.flatnonzero(margin == np.repeat(mx, c))
@@ -161,13 +164,12 @@ class UVLocator:
 
     def locate(self, q, clamp=False):
         """(triangle id, barycentric weights) of one point; see locate_many."""
-        x, y = np.asarray(q, dtype=np.float64).reshape(2).tolist()
-        i = bisect_right(self._wall_lists[0], x)
-        j = bisect_right(self._wall_lists[1], y)
-        lo, hi = self._cell_start[i * self.ncell + j: i * self.ncell + j + 2].tolist()
+        x, y = map(float, q)
+        c = bisect_right(self._wall_lists[0], x) * self.ncell + bisect_right(self._wall_lists[1], y)
+        lo, hi = self._cell_start[c:c + 2].tolist()
         cand = self._cell_tris[lo:hi]
         t, top = -1, -np.inf
-        for k, coef in enumerate(self._coef[:, cand].T.tolist()):
+        for k, coef in zip(cand.tolist(), self._coef.take(cand, axis=0).tolist()):
             weights = self._weights(x, y, *coef)
             margin = min(weights)
             if margin > top:  # the first maximum
@@ -175,17 +177,21 @@ class UVLocator:
         if top < -self.tol:  # outside the domain: locate_many scans every non-degenerate triangle
             t, w = self.locate_many(q, clamp)
             return int(t[0]), w[0]
-        w = np.clip(w, 0.0, None)
-        return int(cand[t]), w / ((w[0] + w[1]) + w[2])
+        w0, w1, w2 = (v if v > 0.0 else 0.0 for v in w)  # np.clip's result, -0.0 included
+        s = (w0 + w1) + w2
+        return t, np.array([w0 / s, w1 / s, w2 / s])
 
 
 class FaceMetric:
     """The metric J^T J / h^2 of a parametrized patch at target size h.
 
     Piecewise constant, one tensor per parametric triangle, read at a
-    point by locating it.  A projection (`param.isometry`) has J^T J = I,
-    so `tensors` is None and every point reads `uniform`, I / h^2,
-    without point location.  `locator` also serves smoothing and `map_to_3d`.
+    point by locating it.  `locate_many` answers a point the same way in
+    any batch, so `at` keeps the triangle of every point it has located
+    and locates each point once.  A projection (`param.isometry`) has
+    J^T J = I, so `tensors` is None and every point reads `uniform`,
+    I / h^2, without point location.  `locator` also serves smoothing and
+    `map_to_3d`.
     """
 
     def __init__(self, patch, param, h):
@@ -194,13 +200,18 @@ class FaceMetric:
         self.uniform = metric_tensor(np.eye(3, 2), h) if param.isometry else None
         self.tensors = None if param.isometry else metric_tensor(  # (m, 2, 2)
             triangle_jacobian(patch.tri.vertices[tris], param.uv[tris]), h)
+        self._located = {}  # UV point -> the triangle it was located in
 
     def at(self, X):
         """(n, 2, 2) metric tensors at (n, 2) points."""
         if self.uniform is not None:
             return np.broadcast_to(self.uniform, (np.size(X) // 2, 2, 2))
-        t, _ = self.locator.locate_many(X, clamp=True)
-        return self.tensors[t]
+        keys = list(map(tuple, np.asarray(X, dtype=np.float64).reshape(-1, 2).tolist()))
+        new = [x for x in keys if x not in self._located]
+        if new:
+            t, _ = self.locator.locate_many(np.array(new), clamp=True)
+            self._located.update(zip(new, t.tolist()))
+        return self.tensors[[self._located[x] for x in keys]]
 
     def edge_lengths(self, P, Q):
         """(n,) metric lengths of segments P[k] -> Q[k], each under the
@@ -310,10 +321,9 @@ def mesh_patch_uv(
 
     n_fixed = len(points)
 
-    def ends(edges):
-        pts = np.asarray(mesh.points)
+    def ends(edges, xy):
         e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        return pts[e[:, 0]], pts[e[:, 1]]
+        return xy[e[:, 0]], xy[e[:, 1]]
 
     def quad(e):
         """(a, b, c, d): edge e = (a, b) and its opposite vertices, or None
@@ -330,17 +340,19 @@ def mesh_patch_uv(
             quads[i] = quad(edges[i])
             want[i] = False
         rows = [i for i in rows if quads[i] is not None]
-        P = np.asarray([mesh.points[v] for i in rows for v in quads[i]])
-        for i, w in zip(rows, flip_wanted(tensors[rows], P.reshape(-1, 4, 2)).tolist()):
+        P = xy[np.asarray([quads[i] for i in rows], dtype=np.int64).reshape(-1, 4)]
+        for i, w in zip(rows, flip_wanted(tensors[rows], P).tolist()):
             want[i] = w
 
     # Split, collapse and flip each read the metric in one call at their
-    # start, one tensor per edge at its midpoint.  Splits act on the
-    # lengths they start with, and collapses and flips move no vertex that
-    # survives, so every edge they visit still has the ends it had then.
-    # The flip test of every edge is made at the start too; a flip changes
-    # the quads of the four edges around it, and those not yet visited are
-    # tested again, together, when the sweep reaches the first of them.
+    # start, one tensor per edge at its midpoint; on a curved face the call
+    # locates only the midpoints the face has not read before.  Splits act
+    # on the lengths they start with, and collapses and flips move no
+    # vertex that survives, so every edge they visit still has the ends it
+    # had then.  The flip test of every edge is made at the start too; a
+    # flip changes the quads of the four edges around it, and those not
+    # yet visited are tested again, together, when the sweep reaches the
+    # first of them.
     # Smoothing moves vertices and stays serial.  Vertices past n_fixed
     # are interior: no constrained edge is split.
     counts = dict.fromkeys(("splits", "collapses", "flips", "moves"), 0)
@@ -351,8 +363,8 @@ def mesh_patch_uv(
         before = sum(counts.values())
         # split long edges, longest first
         edges = [e for e in mesh.edges() if e not in mesh.constrained]
-        lens = sorted(zip(metric.edge_lengths(*ends(edges)).tolist(), edges),
-                      key=lambda x: (-x[0], x[1]))
+        lens = metric.edge_lengths(*ends(edges, np.asarray(mesh.points)))
+        lens = sorted(zip(lens.tolist(), edges), key=lambda x: (-x[0], x[1]))
         for ln, e in lens:
             if ln > METRIC_LONG and e in mesh.e2t and mesh.split_edge(e) is not None:
                 counts["splits"] += 1
@@ -361,13 +373,14 @@ def mesh_patch_uv(
             e for e in sorted(mesh.edges())
             if e not in mesh.constrained and (e[0] >= n_fixed or e[1] >= n_fixed)
         ]
-        short = metric.edge_lengths(*ends(edges)) < METRIC_SHORT
+        short = metric.edge_lengths(*ends(edges, np.asarray(mesh.points))) < METRIC_SHORT
         for e, is_short in zip(edges, short):
             if is_short and e in mesh.e2t and mesh.collapse(e):
                 counts["collapses"] += 1
         # metric Delaunay flips
         edges = [e for e in sorted(mesh.edges()) if e not in mesh.constrained]
-        pa, pb = ends(edges)
+        xy = np.asarray(mesh.points)  # flips move no point
+        pa, pb = ends(edges, xy)
         tensors = metric.at(0.5 * (pa + pb))
         position = {e: i for i, e in enumerate(edges)}
         quads = [None] * len(edges)

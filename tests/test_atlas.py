@@ -14,7 +14,7 @@ from fixtures import (
 )
 from scalar_reference import reference_build_brep
 
-from atlasmesh import param
+from atlasmesh import param, pipeline
 from atlasmesh.atlas import bisect_patch, build_brep, make_parametrizable, split_reason
 from atlasmesh.features import detect_feature_edges, segment_patches
 from atlasmesh.mesh import Adjacency, MeshError, Triangulation
@@ -98,6 +98,17 @@ def test_each_face_is_parametrized_once_and_passes_the_split_check(monkeypatch, 
         assert len(calls) == len(atlas.brep.faces)
         assert all(f["refine"]["splits"] > 0 for f in faces)
     assert [split_reason(pr) for pr in atlas.params] == [None] * len(atlas.params)
+
+
+@pytest.mark.parametrize("refine", [None, "auto"], ids=["unrefined", "refined"])
+@pytest.mark.parametrize("make", [cube, torus])
+def test_each_patch_is_tested_for_planarity_once(monkeypatch, make, refine):
+    # a refined patch is a new patch, with its own test
+    tested = []
+    projection = pipeline.projection
+    monkeypatch.setattr(pipeline, "projection", lambda p: tested.append(p) or projection(p))
+    atlas = build_atlas(make(), PipelineOptions(refine_threshold=refine))
+    assert len({id(p) for p in tested}) == len(tested) >= len(atlas.patches)
 
 
 def test_cube_brep_counts():

@@ -286,6 +286,14 @@ def _flipped_grid(flip):
 FLIPPED = [lambda: _flipped_grid(5), lambda: _flipped_grid(4)]
 
 
+def _pinched_fans():
+    """Two fans of two triangles that share only vertex 0, a pinch vertex
+    that starts and ends two boundary half-edges."""
+    v = np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0],
+                  [-1, 0, 0], [-1, -1, 0], [0, -1, 0]], dtype=float)
+    return Triangulation(v, [[0, 1, 2], [0, 2, 3], [0, 4, 5], [0, 5, 6]])
+
+
 def _bits(a):
     return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
 
@@ -301,7 +309,8 @@ def _outcome(fn, *args):
 
 
 @pytest.mark.parametrize(
-    "build", BUILDS + FLIPPED, ids=IDS + ["flipped-inner", "flipped-boundary"]
+    "build", BUILDS + FLIPPED + [_pinched_fans],
+    ids=IDS + ["flipped-inner", "flipped-boundary", "pinch"],
 )
 def test_adjacency_and_loops_equal_dict_code(build):
     mesh = build()

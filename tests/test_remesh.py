@@ -377,22 +377,29 @@ def test_curved_face_reads_per_triangle_tensors(name, build, monkeypatch):
         assert np.array_equal(M, metric.tensors[t]), (name, face)
 
 
+def _walls_and_edges(loc, seed):
+    """Points exactly on the cell walls of `loc`, inside and outside its
+    domain, and points on its triangles' edges."""
+    uv, tris = loc.uv, loc.tris
+    rng = np.random.default_rng(seed)
+    lo, hi = uv.min(axis=0), uv.max(axis=0)
+    wx, wy = loc._walls
+    on_walls = np.concatenate([
+        np.column_stack([wx, rng.uniform(lo[1], hi[1], len(wx))]),
+        np.column_stack([rng.uniform(lo[0], hi[0], len(wy)), wy]),
+        np.column_stack([wx[: len(wy)], wy[: len(wx)]]),
+    ])
+    along = rng.uniform(0.0, 1.0, (len(tris), 1))
+    return on_walls, uv[tris[:, 0]] + along * (uv[tris[:, 1]] - uv[tris[:, 0]])
+
+
 def test_locate_equals_point_locator_on_walls_edges_and_vertices(uv_faces):
     for k, (name, patch, param) in enumerate(uv_faces):
         uv, tris = param.uv, patch.tri.triangles
         ref = PointLocator(uv, tris)
         loc = UVLocator(uv, tris)
         inside, outside = _queries(uv, tris, k)
-        rng = np.random.default_rng(k)
-        lo, hi = uv.min(axis=0), uv.max(axis=0)
-        wx, wy = loc._walls
-        on_walls = np.concatenate([  # exactly on cell walls, inside and outside
-            np.column_stack([wx, rng.uniform(lo[1], hi[1], len(wx))]),
-            np.column_stack([rng.uniform(lo[0], hi[0], len(wy)), wy]),
-            np.column_stack([wx[: len(wy)], wy[: len(wx)]]),
-        ])
-        along = rng.uniform(0.0, 1.0, (len(tris), 1))  # on triangle edges
-        on_edges = uv[tris[:, 0]] + along * (uv[tris[:, 1]] - uv[tris[:, 0]])
+        on_walls, on_edges = _walls_and_edges(loc, k)
         for clamp in (False, True):
             for Q in (inside, outside, on_walls, on_edges, uv):
                 for q in Q:
@@ -406,6 +413,12 @@ def test_locate_equals_point_locator_on_walls_edges_and_vertices(uv_faces):
                     assert (t, b.tolist()) == (want[0], want[1].tolist()), name
 
 
+DEGENERATE_QUERIES = [
+    [0.5, 0.0], [1.0, 0.0], [1.5, 1e-15], [1.5, -1e-15], [0.5, 1e-9], [2.0, 0.0],
+    [0.0, 0.0], [-1e-12, 0.0], [3.0, 0.0], [1.0, 2.0], [2.5, 0.5],
+]
+
+
 def test_locate_next_to_a_degenerate_triangle():
     # triangle 2 has three collinear corners; its neighbours share its line
     uv = np.array([[0, 0], [1, 0], [2, 0], [1, 1], [1, -1], [3, 1]], dtype=float)
@@ -413,10 +426,8 @@ def test_locate_next_to_a_degenerate_triangle():
     ref = PointLocator(uv, tris)
     loc = UVLocator(uv, tris)
     assert loc._degenerate.tolist() == [False, False, True, False, False]
-    Q = [[0.5, 0.0], [1.0, 0.0], [1.5, 1e-15], [1.5, -1e-15], [0.5, 1e-9], [2.0, 0.0],
-         [0.0, 0.0], [-1e-12, 0.0], [3.0, 0.0], [1.0, 2.0], [2.5, 0.5]]
     for clamp in (False, True):
-        for q in Q:
+        for q in DEGENERATE_QUERIES:
             try:
                 want = ref.locate(q, clamp)
             except MeshError:
@@ -430,6 +441,64 @@ def test_locate_next_to_a_degenerate_triangle():
             assert (t, b.tolist()) == (want[0], want[1].tolist()), q
             tm, bm = loc.locate_many([q], clamp)
             assert (tm[0], bm[0].tolist()) == (want[0], want[1].tolist()), q
+
+
+def _same_answer(loc, q, clamp):
+    """locate(q) is locate_many([q]): the same triangle and the same weight
+    bits, so -0.0 and 0.0 differ; or both raise."""
+    try:
+        tm, bm = loc.locate_many([q], clamp)
+    except MeshError:
+        with pytest.raises(MeshError):
+            loc.locate(q, clamp)
+        return False
+    t, b = loc.locate(q, clamp)
+    assert t == tm[0], q
+    assert np.array_equal(b.view(np.int64), bm[0].view(np.int64)), q
+    return True
+
+
+def test_locate_equals_locate_many_bit_for_bit(uv_faces):
+    for k, (name, patch, param) in enumerate(uv_faces):
+        loc = UVLocator(param.uv, patch.tri.triangles)
+        inside, outside = _queries(loc.uv, loc.tris, k)
+        on_walls, on_edges = _walls_and_edges(loc, k)
+        assert all([_same_answer(loc, q, False) for q in np.concatenate([inside, loc.uv])])
+        for q in np.concatenate([on_walls, on_edges]):
+            _same_answer(loc, q, False)
+        for q in np.concatenate([outside, on_walls]):
+            _same_answer(loc, q, True)
+    uv = np.array([[0, 0], [1, 0], [2, 0], [1, 1], [1, -1], [3, 1]], dtype=float)
+    loc = UVLocator(uv, [[0, 1, 3], [1, 2, 3], [0, 1, 2], [0, 4, 2], [2, 5, 3]])
+    for q in DEGENERATE_QUERIES:
+        for clamp in (False, True):
+            _same_answer(loc, q, clamp)
+
+
+@pytest.mark.parametrize("build, h", [(lambda: torus(nu=12, nv=6), 0.6), (cylinder_shell, 0.5)],
+                         ids=["torus12x6", "tube"])
+def test_a_face_metric_locates_each_point_once(build, h, monkeypatch):
+    located, asked = {}, [0]  # locator -> the points its FaceMetric.at located
+    at, locate_many = FaceMetric.at, UVLocator.locate_many
+
+    def asking_at(self, X):
+        asked[0] += 0 if self.uniform is not None else len(X)
+        return at(self, X)
+
+    def counting_locate_many(self, Q, clamp=False):
+        if sys._getframe(1).f_code is at.__code__:
+            points = [tuple(q) for q in np.asarray(Q).tolist()]
+            seen = located.setdefault(self, set())
+            assert seen.isdisjoint(points) and len(set(points)) == len(points)
+            seen.update(points)
+        return locate_many(self, Q, clamp)
+
+    monkeypatch.setattr(FaceMetric, "at", asking_at)
+    monkeypatch.setattr(UVLocator, "locate_many", counting_locate_many)
+    _, summary, _ = remesh_model(build(), PipelineOptions(size=h))
+    assert min(f["passes"] for f in summary["remesh_faces"]) >= 3
+    # every pass asks again for the midpoints of the edges it kept
+    assert 0 < sum(map(len, located.values())) < asked[0]
 
 
 def _quads_and_tensors(n, seed):
