@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -115,10 +114,9 @@ def parametrize(patch: Patch, opt: ParamOptions, flat: Parametrization | None):
 
 
 def _run_parallel(fn, items, threads):
-    if threads <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, items))
+    """[fn(it) for it in items], in order.  `threads` is accepted and has no
+    effect: the interpreter lock held the remesh, so a pool only added cost."""
+    return [fn(it) for it in items]
 
 
 def boundary_samples(atlas: AtlasResult, h):

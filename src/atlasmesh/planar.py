@@ -168,8 +168,8 @@ class PlanarMesh:
 
     def split_edge(self, edge):
         """Insert the midpoint of an edge, bisecting its adjacent triangles."""
-        tids = list(self.e2t.get(edge, ()))
-        if not tids:
+        tids = self.e2t.get(edge)
+        if tids is None:
             return None
         a, b = edge
         (ax, ay), (bx, by) = self.points[a], self.points[b]
@@ -177,13 +177,13 @@ class PlanarMesh:
         self.points.append((0.5 * (ax + bx), 0.5 * (ay + by)))
         self.v2t[m] = set()
         was_constrained = edge in self.constrained
-        for tid in tids:
-            tri = self.tris[tid]
+        for tid in tids[:]:  # _remove_tri empties the list
             # rotate so the split edge is (x, y) in winding order
-            for k in range(3):
-                x, y, z = tri[k], tri[(k + 1) % 3], tri[(k + 2) % 3]
-                if {x, y} == {a, b}:
-                    break
+            x, y, z = self.tris[tid]
+            if x != a and x != b:
+                x, y, z = y, z, x
+            elif y != a and y != b:
+                x, y, z = z, x, y
             self._remove_tri(tid)
             self._add_tri((x, m, z))
             self._add_tri((m, y, z))
@@ -200,21 +200,21 @@ class PlanarMesh:
             if b in self.boundary:
                 return False
             a, b = b, a
-        ring = list(self.v2t[a])
-        pb = self.points[b]
+        ring = list(self.v2t[a])  # _remove_tri shrinks the set
+        pts = self.points
+        pb = pts[b]
         for tid in ring:
-            tri = self.tris[tid]
-            if b in tri:
+            x, y, z = self.tris[tid]
+            if x == b or y == b or z == b:
                 continue
-            pts = [pb if v == a else self.points[v] for v in tri]
-            if _orient(*pts) <= 0.0:
+            if _orient(pb if x == a else pts[x], pb if y == a else pts[y],
+                       pb if z == a else pts[z]) <= 0.0:
                 return False
         for tid in ring:
-            tri = self.tris[tid]
+            x, y, z = self.tris[tid]
             self._remove_tri(tid)
-            if b in tri:
-                continue
-            self._add_tri(tuple(b if v == a else v for v in tri))
+            if x != b and y != b and z != b:
+                self._add_tri((b if x == a else x, b if y == a else y, b if z == a else z))
         return True
 
     def move_vertex(self, v, point):

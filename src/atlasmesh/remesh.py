@@ -223,6 +223,19 @@ class FaceMetric:
         return np.sqrt(np.maximum((D[:, None, :] @ M @ D[:, :, None])[:, 0, 0], 0.0))
 
 
+def _flip_rule(ax, ay, bx, by, cx, cy, dx, dy, m00, m01, m10, m11):
+    """The flip test of `flip_wanted` on floats or on broadcasting arrays,
+    with one fixed order of products and sums (u^T M v as (u^T M) v)."""
+    ux, uy, vx, vy = ax - cx, ay - cy, bx - cx, by - cy
+    dot_c = (ux * m00 + uy * m10) * vx + (ux * m01 + uy * m11) * vy
+    cross_c = abs(ux * vy - uy * vx)
+    ux, uy, vx, vy = ax - dx, ay - dy, bx - dx, by - dy
+    dot_d = (ux * m00 + uy * m10) * vx + (ux * m01 + uy * m11) * vy
+    cross_d = abs(ux * vy - uy * vx)
+    s = cross_c * dot_d + dot_c * cross_d
+    return s < -1e-9 * (cross_c * abs(dot_d) + abs(dot_c) * cross_d)
+
+
 def flip_wanted(M, P):
     """(n,) metric Delaunay test of the (n, 4, 2) quads (a, b, c, d) of edges
     ab with opposite vertices c and d: the angles at c and d under the
@@ -231,16 +244,17 @@ def flip_wanted(M, P):
     At o = c, d with u, v = a - o, b - o, the angle's cosine and sine are
     `u^T M v` and `|u x v| sqrt(det M)` over the same positive product of
     metric norms, so sin(alpha + beta) has the sign of
-    `cross_c * dot_d + dot_c * cross_d`.  The stacked `@` rounds as
-    `u @ M @ v` of one pair of vectors does.
+    `cross_c * dot_d + dot_c * cross_d`.  The test is elementwise, so
+    `flip_wanted_one` gives the same answer bit for bit.
     """
-    D = P[:, :2, None] - P[:, None, 2:]  # D[:, i, j] = P[:, i] - P[:, 2 + j]
-    U = D[:, 0, :, None, :]  # (n, 2, 1, 2): a - c, a - d
-    V = D[:, 1, :, :, None]  # (n, 2, 2, 1): b - c, b - d
-    dot = ((U @ M[:, None]) @ V)[:, :, 0, 0]
-    cross = np.abs(U[:, :, 0, 0] * V[:, :, 1, 0] - U[:, :, 0, 1] * V[:, :, 0, 0])
-    s = cross[:, 0] * dot[:, 1] + dot[:, 0] * cross[:, 1]
-    return s < -1e-9 * (cross[:, 0] * np.abs(dot[:, 1]) + np.abs(dot[:, 0]) * cross[:, 1])
+    P = np.asarray(P, dtype=np.float64).reshape(-1, 8)
+    return _flip_rule(*P.T, *np.asarray(M, dtype=np.float64).reshape(-1, 4).T)
+
+
+def flip_wanted_one(m, a, b, c, d):
+    """`flip_wanted` of one quad of (x, y) points under the tensor m =
+    (m00, m01, m10, m11), in Python floats."""
+    return _flip_rule(*a, *b, *c, *d, *m)
 
 
 def discretize_curve(points3d, h, closed=False):
@@ -328,31 +342,23 @@ def mesh_patch_uv(
     def quad(e):
         """(a, b, c, d): edge e = (a, b) and its opposite vertices, or None
         unless e has two triangles."""
-        tids = mesh.e2t.get(e, ())
-        if len(tids) != 2:
+        tids = mesh.e2t.get(e)
+        if tids is None or len(tids) != 2:
             return None
-        return (*e, *(sum(mesh.tris[t]) - e[0] - e[1] for t in tids))
+        a, b = e
+        x, y, z = mesh.tris[tids[0]]
+        u, v, w = mesh.tris[tids[1]]
+        return a, b, x + y + z - a - b, u + v + w - a - b
 
-    def retest(rows):
-        """Set quads[i] and want[i] for the given rows of the flip sweep from
-        the mesh as it is now."""
-        for i in rows:
-            quads[i] = quad(edges[i])
-            want[i] = False
-        rows = [i for i in rows if quads[i] is not None]
-        P = xy[np.asarray([quads[i] for i in rows], dtype=np.int64).reshape(-1, 4)]
-        for i, w in zip(rows, flip_wanted(tensors[rows], P).tolist()):
-            want[i] = w
-
-    # Split, collapse and flip each read the metric in one call at their
-    # start, one tensor per edge at its midpoint; on a curved face the call
-    # locates only the midpoints the face has not read before.  Splits act
-    # on the lengths they start with, and collapses and flips move no
-    # vertex that survives, so every edge they visit still has the ends it
-    # had then.  The flip test of every edge is made at the start too; a
-    # flip changes the quads of the four edges around it, and those not
-    # yet visited are tested again, together, when the sweep reaches the
-    # first of them.
+    # Split, collapse and flip each read the metric in at most one call, one
+    # tensor per edge at its midpoint; on a curved face the call locates
+    # only the midpoints the face has not read before.  No vertex moves before
+    # smoothing, so an edge keeps its length for the pass: splits act on
+    # the lengths they start with, and collapses measure only the edges
+    # that splits made.  The flip test of every edge is made at the start
+    # in one call; a flip changes the quads of the four edges around it,
+    # and the sweep tests such an edge again alone, with
+    # `flip_wanted_one`, when it reaches it.
     # Smoothing moves vertices and stays serial.  Vertices past n_fixed
     # are interior: no constrained edge is split.
     counts = dict.fromkeys(("splits", "collapses", "flips", "moves"), 0)
@@ -364,42 +370,46 @@ def mesh_patch_uv(
         # split long edges, longest first
         edges = [e for e in mesh.edges() if e not in mesh.constrained]
         lens = metric.edge_lengths(*ends(edges, np.asarray(mesh.points)))
-        lens = sorted(zip(lens.tolist(), edges), key=lambda x: (-x[0], x[1]))
-        for ln, e in lens:
-            if ln > METRIC_LONG and e in mesh.e2t and mesh.split_edge(e) is not None:
+        lens = dict(zip(edges, lens.tolist()))
+        n_old = len(mesh.points)
+        long = sorted((-ln, e) for e, ln in lens.items() if ln > METRIC_LONG)
+        for _, e in long:
+            if e in mesh.e2t and mesh.split_edge(e) is not None:
                 counts["splits"] += 1
-        # collapse short interior edges
+        # collapse short interior edges; collapses and flips move no point
+        xy = np.asarray(mesh.points)
         edges = [
             e for e in sorted(mesh.edges())
             if e not in mesh.constrained and (e[0] >= n_fixed or e[1] >= n_fixed)
         ]
-        short = metric.edge_lengths(*ends(edges, np.asarray(mesh.points))) < METRIC_SHORT
-        for e, is_short in zip(edges, short):
-            if is_short and e in mesh.e2t and mesh.collapse(e):
+        new = [e for e in edges if e[1] >= n_old]  # made by a split
+        if new:
+            measured = metric.edge_lengths(*ends(new, xy))
+            lens.update(zip(new, measured.tolist()))
+        for e in edges:
+            if lens[e] < METRIC_SHORT and e in mesh.e2t and mesh.collapse(e):
                 counts["collapses"] += 1
         # metric Delaunay flips
         edges = [e for e in sorted(mesh.edges()) if e not in mesh.constrained]
-        xy = np.asarray(mesh.points)  # flips move no point
         pa, pb = ends(edges, xy)
         tensors = metric.at(0.5 * (pa + pb))
-        position = {e: i for i, e in enumerate(edges)}
-        quads = [None] * len(edges)
-        want = [False] * len(edges)
-        retest(range(len(edges)))
-        pending = set()  # unvisited edges whose quad a flip of this sweep changed
+        quads = [quad(e) for e in edges]
+        rows = [i for i, q in enumerate(quads) if q is not None]
+        P = xy[np.asarray([quads[i] for i in rows], dtype=np.int64).reshape(-1, 4)]
+        want = dict(zip(rows, flip_wanted(tensors[rows], P).tolist()))
+        pts = mesh.points
+        stale = set()  # edges whose quad a flip of this sweep changed
         for i, e in enumerate(edges):
-            if e in pending:
-                retest([position[f] for f in pending])
-                pending.clear()
-            if want[i] and mesh.flip(e):
+            if e in stale:
+                q = quads[i] = quad(e)
+                want[i] = q is not None and flip_wanted_one(
+                    tensors[i].ravel().tolist(), pts[q[0]], pts[q[1]], pts[q[2]], pts[q[3]])
+            if want.get(i) and mesh.flip(e):
                 counts["flips"] += 1
                 a, b, c, d = quads[i]
                 for f in ((a, c), (c, b), (b, d), (d, a)):
-                    f = mesh._ekey(*f)
-                    if position.get(f, -1) > i:
-                        pending.add(f)
+                    stale.add(mesh._ekey(*f))
         # smooth interior vertices
-        pts = mesh.points
         for v in range(n_fixed, len(pts)):
             if not mesh.v2t[v]:
                 continue

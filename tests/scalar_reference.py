@@ -1,7 +1,7 @@
 """The UV adaptation loop as it was before its predicates were batched.
 
 `mesh_patch_uv` reads one metric tensor per edge for a whole phase,
-tests flips with one stacked sign test, locates a smoothing target by
+tests flips with one elementwise sign test, locates a smoothing target by
 scanning its cell in Python floats, clips with one vectorised
 winding-number evaluation and reads vertex boundary flags from a set;
 its `PlanarMesh` keeps points as Python floats.  The copies below do the
@@ -31,12 +31,14 @@ from atlasmesh.remesh import METRIC_LONG, METRIC_SHORT, FaceMetric
 def scalar_flip_wanted(M, p):
     """Metric Delaunay test of one quad p = (a, b, c, d) of edge ab under
     the 2x2 tensor M: the sign of sin(alpha + beta) from the cosine and
-    sine numerators of the angles at c and d."""
+    sine numerators of the angles at c and d, each `u^T M v` summed as
+    (u^T M) v."""
+    (m00, m01), (m10, m11) = np.asarray(M, dtype=np.float64).tolist()
     dot, cross = [], []
     for o in (p[2], p[3]):
-        u, v = p[0] - o, p[1] - o
-        dot.append(float(u @ M @ v))
-        cross.append(abs(float(u[0]) * float(v[1]) - float(u[1]) * float(v[0])))
+        (ux, uy), (vx, vy) = (p[0] - o).tolist(), (p[1] - o).tolist()
+        dot.append((ux * m00 + uy * m10) * vx + (ux * m01 + uy * m11) * vy)
+        cross.append(abs(ux * vy - uy * vx))
     s = cross[0] * dot[1] + dot[0] * cross[1]
     return s < -1e-9 * (cross[0] * abs(dot[1]) + abs(dot[0]) * cross[1])
 

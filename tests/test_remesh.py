@@ -27,6 +27,7 @@ from atlasmesh.remesh import (
     UVLocator,
     discretize_curve,
     flip_wanted,
+    flip_wanted_one,
     mesh_patch_uv,
     stitch,
 )
@@ -540,6 +541,123 @@ def test_stacked_flip_angles_equal_the_scalar_formula():
     clear = np.abs(angles - np.pi) > 1e-6
     assert clear.sum() > 0.9 * len(P)
     assert np.array_equal(np.asarray(decide)[clear], angles[clear] > np.pi)
+
+
+def _same_flip_answers(M, P):
+    """flip_wanted's answers, checked equal to flip_wanted_one's, quad by quad."""
+    batch = flip_wanted(M, P).tolist()
+    one = [flip_wanted_one(m, *p) for m, p in zip(M.reshape(-1, 4).tolist(), P.tolist())]
+    assert batch == one
+    return batch
+
+
+def _threshold_quads(seed, n=40, ulps=6):
+    """Quads whose flip test is within a few ulps of its -1e-9 threshold.
+
+    Corners a, b, c lie on a circle and d = centre + r (1 + t) (cos, sin),
+    so the angle sum passes pi near t = 0; bisection on t finds the two
+    adjacent doubles where flip_wanted changes its answer, and the quads
+    at the `ulps` doubles on either side of them are returned.
+    """
+    rng = np.random.default_rng(seed)
+    quads, tensors = [], []
+    for _ in range(n):
+        centre, r = rng.normal(size=2), rng.uniform(0.1, 10.0)
+        ang = np.sort(rng.uniform(0.0, 2.0 * np.pi, 4))
+        a, c, b, d_dir = (np.array([np.cos(x), np.sin(x)]) for x in ang)  # c between a and b
+        A = rng.normal(size=(2, 2))
+        M = np.eye(2) if rng.uniform() < 0.5 else A @ A.T + 0.1 * np.eye(2)
+        # x -> centre + r L^-T x, with M = L L^T, maps the unit circle onto
+        # an ellipse that is a circle under M
+        inv = np.linalg.inv(np.linalg.cholesky(M).T)
+
+        def quad(t):
+            corners = np.array([a, b, c, (1.0 + t) * d_dir])
+            return centre + r * corners @ inv.T
+
+        lo, hi = -1e-3, 1e-3  # d outside the circle: no flip; inside: flip
+        if flip_wanted(M[None], quad(lo)[None])[0] == flip_wanted(M[None], quad(hi)[None])[0]:
+            continue
+        want_lo = flip_wanted(M[None], quad(lo)[None])[0]
+        while np.nextafter(lo, hi) != hi:
+            mid = 0.5 * (lo + hi)
+            if mid in (lo, hi):
+                break
+            if flip_wanted(M[None], quad(mid)[None])[0] == want_lo:
+                lo = mid
+            else:
+                hi = mid
+        t = lo
+        for _ in range(ulps):
+            t = np.nextafter(t, -1.0)
+        for _ in range(2 * ulps + 2):
+            quads.append(quad(t))
+            tensors.append(M)
+            t = np.nextafter(t, 1.0)
+    return np.array(tensors), np.array(quads)
+
+
+def test_flip_wanted_one_equals_flip_wanted_bit_for_bit():
+    # random quads with SPD tensors, repeated and collinear corners among them
+    P, M = _quads_and_tensors(4000, 1)
+    decide = _same_flip_answers(M, P)
+    assert 0 < sum(decide) < len(decide)
+    # cocircular quads of a regular lattice under I / h^2: s is about 0
+    rng = np.random.default_rng(2)
+    h, step = 0.3, 0.1
+    corner = rng.integers(-50, 50, size=(2000, 1, 2)) * step + rng.normal(size=(2000, 1, 2))
+    square = np.array([[0.0, 0.0], [step, step], [step, 0.0], [0.0, step]])
+    P = corner + square * rng.choice([-1.0, 1.0], size=(2000, 1, 2))
+    M = np.broadcast_to(metric_tensor(np.eye(3, 2), h), (2000, 2, 2))
+    _same_flip_answers(M, P)
+    # within a few ulps of the threshold: both answers occur
+    M, P = _threshold_quads(3)
+    assert len(P) >= 20 * 14
+    decide = _same_flip_answers(M, P)
+    assert 0 < sum(decide) < len(decide)
+    # signed zeros in the corners and the tensors
+    zeros = rng.choice([-0.0, 0.0, -1.0, 1.0, 2.0], size=(3000, 4, 2))
+    M = np.zeros((3000, 2, 2))
+    M[:, 0, 0], M[:, 1, 1] = rng.choice([1.0, 4.0], size=(2, 3000))
+    M[:, 0, 1] = M[:, 1, 0] = rng.choice([-0.0, 0.0], size=3000)
+    decide = _same_flip_answers(M, zeros)
+    assert 0 < sum(decide) < len(decide)
+    assert np.signbit(zeros).any() and np.signbit(M).any()
+
+
+def test_edge_lengths_of_a_subset_equal_rows_of_the_batch(uv_faces):
+    for k, (name, patch, param) in enumerate(uv_faces):
+        P, Q = _face_queries(FaceMetric(patch, param, 0.3), k)
+        full = FaceMetric(patch, param, 0.3).edge_lengths(P, Q).view(np.int64)
+        rng = np.random.default_rng(k)
+        metric = FaceMetric(patch, param, 0.3)  # the subsets are located first here
+        for rows in [rng.choice(len(P), size, replace=False) for size in (1, 2, 5, len(P) // 3)]:
+            assert np.array_equal(metric.edge_lengths(P[rows], Q[rows]).view(np.int64), full[rows])
+        assert np.array_equal(metric.edge_lengths(P, Q).view(np.int64), full), name
+
+
+def test_each_edge_is_measured_once_per_pass(monkeypatch):
+    passes, edge_lengths, wanted = [[]], FaceMetric.edge_lengths, remesh.flip_wanted
+
+    def recording_lengths(self, P, Q):
+        passes[-1].append([tuple(sorted(map(tuple, pq))) for pq in zip(np.asarray(P).tolist(),
+                                                                          np.asarray(Q).tolist())])
+        return edge_lengths(self, P, Q)
+
+    def pass_ends(M, P):  # the flip phase, after the last measurement of a pass
+        passes.append([])
+        return wanted(M, P)
+
+    monkeypatch.setattr(FaceMetric, "edge_lengths", recording_lengths)
+    monkeypatch.setattr(remesh, "flip_wanted", pass_ends)
+    _, summary, _ = remesh_model(torus(nu=12, nv=6), PipelineOptions(size=0.6))
+    calls = passes[:-1]
+    assert len(calls) == sum(f["passes"] for f in summary["remesh_faces"])
+    assert all(1 <= len(c) <= 2 for c in calls)
+    assert sum(len(c) == 2 for c in calls) > 0  # collapses measured the edges splits made
+    for c in calls:
+        rows = [seg for call in c for seg in call]
+        assert len(set(rows)) == len(rows)
 
 
 ADAPT_CASES = [
