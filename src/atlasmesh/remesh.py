@@ -372,8 +372,7 @@ def mesh_patch_uv(
         lens = metric.edge_lengths(*ends(edges, np.asarray(mesh.points)))
         lens = dict(zip(edges, lens.tolist()))
         n_old = len(mesh.points)
-        long = sorted((-ln, e) for e, ln in lens.items() if ln > METRIC_LONG)
-        for _, e in long:
+        for _, e in sorted((-ln, e) for e, ln in lens.items() if ln > METRIC_LONG):
             if e in mesh.e2t and mesh.split_edge(e) is not None:
                 counts["splits"] += 1
         # collapse short interior edges; collapses and flips move no point

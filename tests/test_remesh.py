@@ -575,15 +575,16 @@ def _threshold_quads(seed, n=40, ulps=6):
             corners = np.array([a, b, c, (1.0 + t) * d_dir])
             return centre + r * corners @ inv.T
 
+        def wanted(t):
+            return flip_wanted(M[None], quad(t)[None])[0]
+
         lo, hi = -1e-3, 1e-3  # d outside the circle: no flip; inside: flip
-        if flip_wanted(M[None], quad(lo)[None])[0] == flip_wanted(M[None], quad(hi)[None])[0]:
+        want_lo = wanted(lo)
+        if wanted(hi) == want_lo:
             continue
-        want_lo = flip_wanted(M[None], quad(lo)[None])[0]
         while np.nextafter(lo, hi) != hi:
             mid = 0.5 * (lo + hi)
-            if mid in (lo, hi):
-                break
-            if flip_wanted(M[None], quad(mid)[None])[0] == want_lo:
+            if wanted(mid) == want_lo:
                 lo = mid
             else:
                 hi = mid
@@ -616,13 +617,13 @@ def test_flip_wanted_one_equals_flip_wanted_bit_for_bit():
     decide = _same_flip_answers(M, P)
     assert 0 < sum(decide) < len(decide)
     # signed zeros in the corners and the tensors
-    zeros = rng.choice([-0.0, 0.0, -1.0, 1.0, 2.0], size=(3000, 4, 2))
+    P = rng.choice([-0.0, 0.0, -1.0, 1.0, 2.0], size=(3000, 4, 2))
     M = np.zeros((3000, 2, 2))
     M[:, 0, 0], M[:, 1, 1] = rng.choice([1.0, 4.0], size=(2, 3000))
     M[:, 0, 1] = M[:, 1, 0] = rng.choice([-0.0, 0.0], size=3000)
-    decide = _same_flip_answers(M, zeros)
+    decide = _same_flip_answers(M, P)
     assert 0 < sum(decide) < len(decide)
-    assert np.signbit(zeros).any() and np.signbit(M).any()
+    assert np.signbit(P[P == 0.0]).any() and np.signbit(M[M == 0.0]).any()
 
 
 def test_edge_lengths_of_a_subset_equal_rows_of_the_batch(uv_faces):
