@@ -62,7 +62,8 @@ def build_parser():
     _add_atlas_flags(p)
     p.add_argument("--size", type=float, required=True,
                    help="target edge length of the output mesh")
-    p.add_argument("--threads", type=int, default=PipelineOptions.threads)
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted for compatibility; must be at least 1")
     p.add_argument("-o", "--output", required=True)
 
     p = sub.add_parser("quality", help="per-patch parametrization quality")
@@ -96,7 +97,6 @@ def _options(args):
         max_triangles=args.max_triangles,
         refine_threshold=thr,
         refine_rounds=args.refine_rounds,
-        threads=getattr(args, "threads", PipelineOptions.threads),
     )
 
 
@@ -162,6 +162,8 @@ def cmd_atlas(args):
 
 
 def cmd_remesh(args):
+    if args.threads < 1:
+        raise MeshError(f"threads must be at least 1, got {args.threads}")
     mesh = _load(args)
     out, summary, _atlas = remesh_model(mesh, _options(args))
     io.write_mesh(out, args.output)

@@ -2,68 +2,46 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .mesh import Adjacency, MeshError, Triangulation, first_occurrence
 
 
-@dataclass
-class FeatureEdgeSet:
-    """Edges tagged as model features, with their dihedral angles."""
+def dihedral_angles(tri: Triangulation, adj: Adjacency) -> np.ndarray:
+    """(E,) degrees between the unit normals of each edge's two triangles.
 
-    threshold_deg: float
-    edges: set = field(default_factory=set)  # sorted vertex pairs
-    angles: dict = field(default_factory=dict)  # edge -> degrees
-
-
-@dataclass
-class PatchSet:
-    """A partition of the triangle set into feature-bounded patches."""
-
-    patch_of_triangle: np.ndarray
-    n_patches: int
-
-    def triangles_of(self, pid):
-        return np.nonzero(self.patch_of_triangle == pid)[0]
-
-
-def detect_feature_edges(
-    tri: Triangulation, adj: Adjacency, threshold_deg: float
-) -> FeatureEdgeSet:
-    """Tag interior edges whose adjacent normals exceed the angle threshold.
-
-    All boundary edges are tagged unconditionally.  The angle is the
-    unsigned angle between the two unit face normals, so convex and
-    concave creases are treated identically.
+    The angle is unsigned, so convex and concave creases read alike; an
+    edge without a second triangle reads 0.
     """
-    # 180 disables interior detection: no dihedral can exceed it
-    if not (0.0 < threshold_deg <= 180.0):
-        raise MeshError("feature angle threshold must lie in (0, 180] degrees")
-    if (adj.edge_count > 2).any():
-        raise MeshError("non-manifold edge in feature detection")
     inner = adj.edge_count == 2
     normals = tri.triangle_normals()
     n0 = normals[adj.edge_tri[inner, 0]]
     n1 = normals[adj.edge_tri[inner, 1]]
     # a stacked `@` keeps the bits of a per-edge np.dot; einsum does not
     d = np.clip((n0[:, None, :] @ n1[:, :, None])[:, 0, 0], -1.0, 1.0)
-    angles = np.zeros(len(inner))  # boundary edges read 0
+    angles = np.zeros(adj.n_edges)
     angles[inner] = np.degrees(np.arccos(d))
-    tagged = (adj.edge_count == 1) | (angles > threshold_deg)
-    edges = list(map(tuple, adj.edges[tagged].tolist()))
-    return FeatureEdgeSet(
-        edges=set(edges),
-        angles=dict(zip(edges, angles[tagged].tolist())),
-        threshold_deg=threshold_deg,
-    )
+    return angles
 
 
-def segment_patches(
-    tri: Triangulation, adj: Adjacency, features: FeatureEdgeSet
-) -> PatchSet:
-    """Label triangles by maximal patches not crossing feature edges.
+def detect_feature_edges(
+    tri: Triangulation, adj: Adjacency, threshold_deg: float
+) -> np.ndarray:
+    """(E,) mask over `adj.edges` of the model's feature edges.
+
+    Every boundary edge is a feature, and so is each interior edge whose
+    `dihedral_angles` exceeds the threshold.
+    """
+    # 180 disables interior detection: no dihedral can exceed it
+    if not (0.0 < threshold_deg <= 180.0):
+        raise MeshError("feature angle threshold must lie in (0, 180] degrees")
+    if not adj.is_manifold():
+        raise MeshError("non-manifold edge in feature detection")
+    return (adj.edge_count == 1) | (dihedral_angles(tri, adj) > threshold_deg)
+
+
+def segment_patches(tri: Triangulation, adj: Adjacency, features: np.ndarray) -> np.ndarray:
+    """(m,) patch label of each triangle, given the feature mask over `adj.edges`.
 
     Patches are the connected components of the triangles joined across
     interior non-feature edges, numbered by their smallest triangle id.
@@ -72,12 +50,8 @@ def segment_patches(
     from scipy.sparse.csgraph import connected_components
 
     n = tri.n_triangles
-    feat = np.asarray(sorted(features.edges), dtype=np.int64).reshape(-1, 2)
-    pack = max(tri.n_vertices, 1)
-    is_feature = np.isin(adj.edges @ [pack, 1], feat @ [pack, 1])
-    a, b = adj.edge_tri[(adj.edge_count == 2) & ~is_feature].T
+    a, b = adj.edge_tri[(adj.edge_count == 2) & ~features].T
     graph = coo_matrix((np.ones(len(a)), (a, b)), shape=(n, n))
     _, label = connected_components(graph, directed=False)
     # renumber by smallest triangle id, as a flood fill from triangle 0 does
-    first, index = first_occurrence(label)
-    return PatchSet(patch_of_triangle=index, n_patches=len(first))
+    return first_occurrence(label)[1]

@@ -129,8 +129,8 @@ class Adjacency:
     misoriented : ndarray
         (E,) True where both triangles of a two-triangle edge traverse it
         in the same direction.
-    boundary_edges : set
-        Sorted vertex pairs of the edges with one triangle.
+    has_boundary : bool
+        True when some edge has one triangle.
     """
 
     def __init__(self, tri: Triangulation):
@@ -154,7 +154,7 @@ class Adjacency:
         forward = np.bincount(self.half_edge, weights=src < dst, minlength=len(keys))
         self.misoriented = (self.edge_count == 2) & (forward != 1)
         self._oriented = self._manifold and not self.misoriented.any()
-        self.boundary_edges = set(map(tuple, self.edges[self.edge_count == 1].tolist()))
+        self.has_boundary = bool((self.edge_count == 1).any())
 
     @property
     def n_edges(self):
@@ -266,9 +266,9 @@ def validate(tri: Triangulation, adj: Adjacency | None = None) -> ValidationRepo
         adj = Adjacency(tri)
     manifold = adj.is_manifold()
     oriented = adj.is_oriented()
-    watertight = manifold and oriented and not adj.boundary_edges
+    watertight = manifold and oriented and not adj.has_boundary
     nloops = 0
-    if manifold and oriented and adj.boundary_edges:
+    if manifold and oriented and adj.has_boundary:
         nloops = len(boundary_loops(tri, adj))
     scale = tri.bbox_diagonal()
     thresh = 1e-14 * scale * scale
@@ -292,7 +292,7 @@ def euler_check(tri: Triangulation, adj: Adjacency | None = None, loops=None):
     e = adj.n_edges
     t = tri.n_triangles
     if loops is None:
-        loops = boundary_loops(tri, adj) if adj.boundary_edges else []
+        loops = boundary_loops(tri, adj) if adj.has_boundary else []
     b = len(loops)
     h = sum(len(l) for l in loops)
     chi = p - e + t

@@ -33,9 +33,7 @@ class Patch:
         self.global_vertices = used
         self.tri = Triangulation(model.vertices[used], remap[tris])
         self.adj = Adjacency(self.tri)
-        self.loops = (
-            boundary_loops(self.tri, self.adj) if self.adj.boundary_edges else []
-        )
+        self.loops = boundary_loops(self.tri, self.adj) if self.adj.has_boundary else []
 
     @classmethod
     def _refined(cls, tri, adj, loops, global_vertices, triangle_ids):

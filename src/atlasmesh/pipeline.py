@@ -27,7 +27,6 @@ class PipelineOptions(ParamOptions):
     max_triangles: int = 100_000
     refine_threshold: float | str | None = "auto"  # None disables refinement
     refine_rounds: int = 10
-    threads: int = 1
 
 
 @dataclass
@@ -62,7 +61,7 @@ def build_atlas(model: Triangulation, opt: PipelineOptions | None = None) -> Atl
             % (report.manifold, report.oriented, len(report.degenerate_triangles))
         )
     features = detect_feature_edges(model, adj, opt.angle_deg)
-    segmentation = segment_patches(model, adj, features)
+    labels = segment_patches(model, adj, features)
 
     def prepare(p):
         # a planar patch is projected, and needs no refinement; a refined
@@ -75,15 +74,16 @@ def build_atlas(model: Triangulation, opt: PipelineOptions | None = None) -> Atl
             flat = projection(p)
         return p, parametrize(p, opt, flat), report
 
-    seeds = [Patch(model, segmentation.triangles_of(pid)) for pid in range(segmentation.n_patches)]
+    n_patches = int(labels.max()) + 1
+    seeds = [Patch(model, np.flatnonzero(labels == pid)) for pid in range(n_patches)]
     results, split_records = make_parametrizable(seeds, opt.max_triangles, prepare)
     patches = [r[0] for r in results]
     brep = build_brep(model, patches)
 
     summary = {
         "input_triangles": model.n_triangles,
-        "feature_edges": len(features.edges),
-        "initial_patches": segmentation.n_patches,
+        "feature_edges": int(features.sum()),
+        "initial_patches": n_patches,
         "final_patches": len(patches),
         "split_reasons": [
             {"size": r.patch_size, "reason": r.reason} for r in split_records
@@ -114,8 +114,9 @@ def parametrize(patch: Patch, opt: ParamOptions, flat: Parametrization | None):
 
 
 def _run_parallel(fn, items, threads):
-    """[fn(it) for it in items], in order.  `threads` is accepted and has no
-    effect: the interpreter lock held the remesh, so a pool only added cost."""
+    """[fn(it) for it in items], in order.  `threads` has no effect: the
+    interpreter lock held the remesh, so a pool only added cost.  The
+    signature stays because `bench/spans.py` wraps this map."""
     return [fn(it) for it in items]
 
 
@@ -208,14 +209,12 @@ def remesh_model(model: Triangulation, opt: PipelineOptions | None = None):
     opt = opt or PipelineOptions()
     if opt.size is None or not 0.0 < opt.size < np.inf:
         raise MeshError(f"target size must be finite and positive, got {opt.size}")
-    if opt.threads < 1:
-        raise MeshError(f"threads must be at least 1, got {opt.threads}")
     t0 = time.perf_counter()
     atlas = build_atlas(model, opt)
     sample_xyz, curves = boundary_samples(atlas, opt.size)
     jobs = [(fid, p, pr, face_sample_loops(atlas, fid, curves), opt.size, sample_xyz)
             for fid, (p, pr) in enumerate(zip(atlas.patches, atlas.params))]
-    faces = _run_parallel(mesh_face, jobs, opt.threads)
+    faces = _run_parallel(mesh_face, jobs, 1)
     out = stitch(faces)
 
     out_report = validate(out)

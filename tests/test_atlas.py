@@ -185,8 +185,8 @@ def test_build_brep_corner_points_on_cube():
 def _parts(mesh, angle, max_triangles=100_000):
     """The unrefined atlas parts that `build_atlas` hands to `build_brep`."""
     adj = Adjacency(mesh)
-    seg = segment_patches(mesh, adj, detect_feature_edges(mesh, adj, angle))
-    seeds = [Patch(mesh, seg.triangles_of(pid)) for pid in range(seg.n_patches)]
+    labels = segment_patches(mesh, adj, detect_feature_edges(mesh, adj, angle))
+    seeds = [Patch(mesh, np.flatnonzero(labels == pid)) for pid in range(labels.max() + 1)]
     return [d[0] for d in make_parametrizable(seeds, max_triangles, _flatten)[0]]
 
 

@@ -164,6 +164,9 @@ def test_remesh_rejects_threads_below_one(cube_file, tmp_path, capsys, threads):
     argv = ["remesh", str(cube_file), "--size", "0.5", "--threads", threads, "-o", str(out)]
     assert f"threads must be at least 1, got {threads}" in _mesh_error(capsys, argv)
     assert not out.exists()
+    # checked before the input is read: a missing file is not reported
+    argv[1] = str(tmp_path / "missing.stl")
+    assert f"threads must be at least 1, got {threads}" in _mesh_error(capsys, argv)
 
 
 @pytest.mark.parametrize("command", ["atlas", "quality"])

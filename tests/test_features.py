@@ -3,7 +3,7 @@ import pytest
 
 from fixtures import concave_hole_plate, cube, sphere
 
-from atlasmesh.features import detect_feature_edges, segment_patches
+from atlasmesh.features import detect_feature_edges, dihedral_angles, segment_patches
 from atlasmesh.mesh import Adjacency, MeshError
 
 
@@ -11,36 +11,34 @@ def test_cube_creases():
     m = cube()
     adj = Adjacency(m)
     feats = detect_feature_edges(m, adj, 40.0)
-    assert len(feats.edges) == 12  # the quad edges, not the face diagonals
-    for e in feats.edges:
-        assert feats.angles[e] == pytest.approx(90.0)
-    seg = segment_patches(m, adj, feats)
-    assert seg.n_patches == 6
-    for pid in range(6):
-        assert len(seg.triangles_of(pid)) == 2
+    assert feats.sum() == 12  # the quad edges, not the face diagonals
+    assert dihedral_angles(m, adj)[feats] == pytest.approx(90.0)
+    labels = segment_patches(m, adj, feats)
+    assert np.bincount(labels).tolist() == [2] * 6
 
 
 def test_smooth_surface_has_no_features():
     m = sphere(3)
     adj = Adjacency(m)
     feats = detect_feature_edges(m, adj, 40.0)
-    assert not feats.edges
-    assert segment_patches(m, adj, feats).n_patches == 1
+    assert not feats.any()
+    assert (segment_patches(m, adj, feats) == 0).all()
 
 
 def test_threshold_180_disables_interior_detection():
     m = cube()
     adj = Adjacency(m)
     feats = detect_feature_edges(m, adj, 180.0)
-    assert not feats.edges
-    assert segment_patches(m, adj, feats).n_patches == 1
+    assert not feats.any()
+    assert (segment_patches(m, adj, feats) == 0).all()
 
 
 def test_boundary_edges_always_tagged():
     m = concave_hole_plate()
     adj = Adjacency(m)
     feats = detect_feature_edges(m, adj, 40.0)
-    assert adj.boundary_edges <= feats.edges
+    assert adj.has_boundary
+    assert feats[adj.edge_count == 1].all()
 
 
 def test_threshold_validation():
@@ -56,8 +54,7 @@ def test_low_threshold_splits_sphere():
     m = sphere(1)
     adj = Adjacency(m)
     feats = detect_feature_edges(m, adj, 5.0)
-    seg = segment_patches(m, adj, feats)
-    assert seg.n_patches > 1
-    counts = [len(seg.triangles_of(p)) for p in range(seg.n_patches)]
-    assert sum(counts) == m.n_triangles
-    assert (np.sort(seg.patch_of_triangle) >= 0).all()
+    labels = segment_patches(m, adj, feats)
+    assert labels.shape == (m.n_triangles,)
+    assert labels.min() == 0 and labels.max() > 0
+    assert (np.bincount(labels) > 0).all()  # every label in 0..max is used

@@ -19,7 +19,7 @@ from fixtures import (
     torus,
 )
 
-from atlasmesh.features import detect_feature_edges, segment_patches
+from atlasmesh.features import detect_feature_edges, dihedral_angles, segment_patches
 from atlasmesh.io import _weld
 from atlasmesh.mesh import Adjacency, MeshError, Triangulation, boundary_loops
 from atlasmesh.patch import Patch
@@ -323,7 +323,8 @@ def test_adjacency_and_loops_equal_dict_code(build):
     for h, (u, v) in enumerate(zip(mesh.triangles.ravel(),
                                    mesh.triangles[:, [1, 2, 0]].ravel())):
         assert adj.half_edge[h] == edge_of[(min(u, v), max(u, v))]
-    assert adj.boundary_edges == ref.boundary_edges
+    assert set(map(tuple, adj.edges[adj.edge_count == 1].tolist())) == ref.boundary_edges
+    assert adj.has_boundary == bool(ref.boundary_edges)
     assert adj.is_manifold() == ref.is_manifold()
     assert adj.is_oriented() == ref.is_oriented()
     assert _outcome(boundary_loops, mesh, adj) == _outcome(ref_boundary_loops, mesh, ref)
@@ -351,23 +352,24 @@ def test_features_and_segments_equal_dict_code(build, threshold):
     adj, ref = Adjacency(mesh), DictAdjacency(mesh)
     feats = detect_feature_edges(mesh, adj, threshold)
     edges, angles = ref_detect(mesh, ref, threshold)
-    assert feats.edges == edges
-    assert feats.angles == angles  # exact float equality
-    seg = segment_patches(mesh, adj, feats)
+    tagged = list(map(tuple, adj.edges[feats].tolist()))
+    assert set(tagged) == edges
+    # exact float equality
+    assert dict(zip(tagged, dihedral_angles(mesh, adj)[feats].tolist())) == angles
+    labels = segment_patches(mesh, adj, feats)
     pid, n = ref_segment(mesh, ref, edges)
-    assert seg.n_patches == n
-    assert np.array_equal(seg.patch_of_triangle, pid)
+    assert labels.max() + 1 == n
+    assert np.array_equal(labels, pid)
 
 
 def test_segments_are_numbered_by_smallest_triangle():
     # the torus split at 5 degrees has patches of 2 and of 48 triangles
     mesh = torus()
     adj = Adjacency(mesh)
-    seg = segment_patches(mesh, adj, detect_feature_edges(mesh, adj, 5.0))
-    firsts = [int(seg.triangles_of(p)[0]) for p in range(seg.n_patches)]
+    labels = segment_patches(mesh, adj, detect_feature_edges(mesh, adj, 5.0))
+    firsts = [int(np.flatnonzero(labels == p)[0]) for p in range(labels.max() + 1)]
     assert firsts == sorted(firsts)
-    sizes = [len(seg.triangles_of(p)) for p in range(seg.n_patches)]
-    assert len(set(sizes)) > 1
+    assert len(set(np.bincount(labels).tolist())) > 1
 
 
 def test_non_manifold_edge_still_raises_in_detection():

@@ -57,7 +57,7 @@ def test_adjacency_counts_on_cube():
     assert adj.n_edges == 18  # 12 quad edges + 6 diagonals
     assert adj.is_manifold()
     assert adj.is_oriented()
-    assert not adj.boundary_edges
+    assert not adj.has_boundary
 
 
 def test_orientation_flip_detected():

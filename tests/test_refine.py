@@ -110,7 +110,7 @@ def test_refined_patch_holds_its_own_connectivity(name):
     fresh = Adjacency(refined.tri)
     for attr in ("edges", "half_edge", "edge_count", "edge_tri"):
         assert np.array_equal(getattr(refined.adj, attr), getattr(fresh, attr))
-    assert refined.adj.boundary_edges == fresh.boundary_edges
+    assert refined.adj.has_boundary == fresh.has_boundary
     assert refined.loops == boundary_loops(refined.tri, fresh)
     # each refined triangle lies in the model triangle it names
     parent = refined.triangle_ids

@@ -47,16 +47,6 @@ def test_size_field_validation(monkeypatch):
             remesh_model(cube(), PipelineOptions(size=size))
 
 
-@pytest.mark.parametrize("threads", [0, -3])
-def test_threads_below_one_are_rejected(monkeypatch, threads):
-    def no_atlas(*args):
-        raise AssertionError("the atlas was built before the thread count was checked")
-
-    monkeypatch.setattr(pipeline, "build_atlas", no_atlas)
-    with pytest.raises(MeshError, match=f"threads must be at least 1, got {threads}"):
-        remesh_model(cube(), PipelineOptions(size=0.25, threads=threads))
-
-
 @pytest.mark.parametrize("name,value", [("scheme", "foo"), ("hole_policy", "bar")])
 def test_unknown_options_are_rejected_before_segmentation(monkeypatch, name, value):
     # a cube's faces are all projected, so no solve would reach the value
@@ -93,8 +83,7 @@ def test_face_job_pickles(monkeypatch):
         assert np.array_equal(getattr(shipped, key), getattr(direct, key)), key
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_mesh_error_names_the_face(monkeypatch, threads):
+def test_mesh_error_names_the_face(monkeypatch):
     model = cube()
     doomed = build_atlas(model, PipelineOptions(size=0.25)).patches[3].triangle_ids
     mesh_uv = pipeline.mesh_patch_uv
@@ -106,7 +95,7 @@ def test_mesh_error_names_the_face(monkeypatch, threads):
 
     monkeypatch.setattr(pipeline, "mesh_patch_uv", fail_face_3)
     with pytest.raises(MeshError, match="^face 3: boom$"):
-        remesh_model(model, PipelineOptions(size=0.25, threads=threads))
+        remesh_model(model, PipelineOptions(size=0.25))
 
 
 def test_discretize_open_curve():
