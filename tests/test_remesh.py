@@ -1,3 +1,4 @@
+import json
 import pickle
 import re
 import sys
@@ -10,6 +11,8 @@ from fixtures import concave_hole_plate, cube, cylinder_shell, random_disk_fixtu
 from scalar_reference import reference_mesh_patch_uv, scalar_flip_wanted
 
 from atlasmesh import pipeline, remesh
+from atlasmesh.cli import main
+from atlasmesh.io import write_mesh
 from atlasmesh.mesh import MeshError, Triangulation, validate
 from atlasmesh.param import ParamOptions, parametrize
 from atlasmesh.patch import Patch
@@ -83,7 +86,8 @@ def test_face_job_pickles(monkeypatch):
         assert np.array_equal(getattr(shipped, key), getattr(direct, key)), key
 
 
-def test_mesh_error_names_the_face(monkeypatch):
+@pytest.mark.parametrize("threads", [1, 2])
+def test_mesh_error_names_the_face(monkeypatch, tmp_path, capsys, threads):
     model = cube()
     doomed = build_atlas(model, PipelineOptions(size=0.25)).patches[3].triangle_ids
     mesh_uv = pipeline.mesh_patch_uv
@@ -96,6 +100,14 @@ def test_mesh_error_names_the_face(monkeypatch):
     monkeypatch.setattr(pipeline, "mesh_patch_uv", fail_face_3)
     with pytest.raises(MeshError, match="^face 3: boom$"):
         remesh_model(model, PipelineOptions(size=0.25))
+    # --threads reaches only the CLI; the error names the face whatever it says
+    src = tmp_path / "cube.msh"
+    write_mesh(model, src)
+    argv = ["remesh", str(src), "--size", "0.25", "--threads", str(threads),
+            "-o", str(tmp_path / "out.msh")]
+    assert main(argv) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert (err["error"], err["message"]) == ("MeshError", "face 3: boom")
 
 
 def test_discretize_open_curve():
