@@ -1,7 +1,8 @@
 """Editable planar triangulation: flips, splits, collapses, CDT.
 
 Supports the parametric-plane remesher: a Delaunay triangulation of the
-boundary samples whose constraint edges are recovered by flipping, then
+boundary samples whose constraint edges are recovered by flipping,
+clipped by spreading from the left of the directed loop edges, then
 locally modified (split / collapse / flip / smooth) under a metric.
 """
 
@@ -9,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .mesh import MeshError, signed_uv_areas
+from .mesh import MeshError
 
 
 def _orient(a, b, c):
@@ -33,42 +34,19 @@ def point_on_segment(p, a, b, tol):
     return bool(np.all(p >= lo) and np.all(p <= hi))
 
 
-BLOCK = 1 << 16  # (point, edge) pairs evaluated at once by winding_numbers
 ON_SEGMENT_TOL = 1e-12  # relative to the largest coordinate; see constrained_triangulation
 
 
-def winding_numbers(points, loops):
-    """(n,) total winding of `loops` (sequences of 2D points) around (n, 2) points.
-
-    Crossings are half-open in y: an edge running up through a point's
-    height counts +1 when the point is on its left, one running down
-    counts -1 when the point is on its right.
-    """
-    P = np.asarray(points, dtype=np.float64).reshape(-1, 2)
-    wn = np.zeros(len(P), dtype=np.int64)
-    for loop in loops:
-        a = np.asarray(loop, dtype=np.float64).reshape(-1, 2)
-        b = np.roll(a, -1, axis=0)
-        step = max(1, BLOCK // max(len(a), 1))
-        for lo in range(0, len(P), step):
-            x = P[lo:lo + step, 0, None]
-            y = P[lo:lo + step, 1, None]
-            o = _orient((a[:, 0], a[:, 1]), (b[:, 0], b[:, 1]), (x, y))
-            up = (a[:, 1] <= y) & (b[:, 1] > y) & (o > 0.0)
-            down = (a[:, 1] > y) & (b[:, 1] <= y) & (o < 0.0)
-            wn[lo:lo + step] += up.sum(axis=1) - down.sum(axis=1)
-    return wn
-
-
 class PlanarMesh:
-    """Mutable 2D triangulation with positively oriented triangles.
+    """Mutable 2D triangulation, consistently counter-clockwise.
 
     Points are (x, y) pairs of Python floats; the predicates use the same
     expressions as on numpy scalars, so they round the same.  Deleted
     triangles are tombstoned with None; `compact()` returns clean arrays.
-    `e2t` maps each undirected edge to its triangles in ascending id
-    order: the CDT can leave zero-area triangles over collinear samples,
-    and then two live triangles may share a directed edge.  Constrained
+    At most one live triangle holds each directed edge: the CDT keeps
+    Qhull's orientation and every edit keeps it, though a sliver over
+    nearly collinear samples may round to area <= 0.  `e2t` maps each
+    undirected edge to its triangles in ascending id order.  Constrained
     edges (domain boundary) are never flipped, split, or collapsed by the
     editing helpers.  `constrain` marks an edge; `boundary` holds every
     vertex of a constrained edge.
@@ -238,17 +216,16 @@ class PlanarMesh:
 
 
 def delaunay(points):
-    """Counter-clockwise Delaunay triangles of (n, 2) points; a MeshError if
+    """Delaunay triangles of (n, 2) points as Qhull orients them:
+    counter-clockwise, no directed edge in two triangles, though a sliver
+    over nearly collinear points may round to area <= 0.  A MeshError if
     Qhull drops a point (a duplicate, say), which no triangle would use."""
     from scipy.spatial import Delaunay
 
     dt = Delaunay(points)
     if len(dt.coplanar):
         raise MeshError("degenerate points dropped by Delaunay")
-    tris = dt.simplices.astype(np.int64)
-    cw = signed_uv_areas(tris, points) < 0.0
-    tris[cw] = tris[cw][:, [0, 2, 1]]
-    return tris
+    return dt.simplices.astype(np.int64)
 
 
 def constrained_triangulation(points, constraint_edges):
@@ -307,13 +284,21 @@ def constrained_triangulation(points, constraint_edges):
     return mesh
 
 
-def clip_to_loops(mesh: PlanarMesh, loops_xy):
-    """Delete triangles whose centroid is outside the union of loops."""
-    live = [tid for tid, tri in enumerate(mesh.tris) if tri is not None]
-    if not live:
-        return
-    pts = np.asarray(mesh.points)
-    corners = pts[np.asarray([mesh.tris[tid] for tid in live])]
-    cen = (corners[:, 0] + corners[:, 1] + corners[:, 2]) / 3.0
-    for k in np.flatnonzero(winding_numbers(cen, loops_xy) == 0):
-        mesh._remove_tri(live[k])
+def clip_to_loops(mesh: PlanarMesh, loop_edges):
+    """Keep the triangles reached from the left of the directed loop edges
+    (a, b) without crossing a constrained edge; remove the rest in
+    ascending id.  A loop edge the CDT split seeds nothing."""
+    tris, e2t = mesh.tris, mesh.e2t
+    stack = [t for a, b in loop_edges for t in e2t.get(mesh._ekey(a, b), ())
+             if (a, b) in zip(tris[t], tris[t][1:] + tris[t][:1])]
+    keep = set(stack)
+    while stack:
+        tri = tris[stack.pop()]
+        for key in map(mesh._ekey, tri, tri[1:] + tri[:1]):
+            if key not in mesh.constrained:
+                new = [t for t in e2t[key] if t not in keep]
+                keep.update(new)
+                stack += new
+    for tid, tri in enumerate(tris):
+        if tri is not None and tid not in keep:
+            mesh._remove_tri(tid)

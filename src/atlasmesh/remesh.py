@@ -331,7 +331,7 @@ def mesh_patch_uv(
         start += nn
 
     mesh = constrained_triangulation(points, constraints)
-    clip_to_loops(mesh, [uv for _, uv in loops])
+    clip_to_loops(mesh, constraints)
 
     n_fixed = len(points)
 

@@ -6,10 +6,11 @@ import os
 from pathlib import Path
 
 import numpy as np
+from scalar_reference import scalar_winding_number
 
 import atlasmesh
 from atlasmesh.mesh import Triangulation
-from atlasmesh.planar import clip_to_loops, constrained_triangulation, winding_numbers
+from atlasmesh.planar import clip_to_loops, constrained_triangulation
 
 
 def cube(size=1.0):
@@ -145,7 +146,7 @@ def planar_fixture(outer, holes=(), spacing=None, z=None):
         for x in xs:
             for y in ys:
                 p = np.array([x, y])
-                if winding_numbers(p, loops_xy)[0] != 0:
+                if scalar_winding_number(p, loops_xy) != 0:
                     # keep clear of the boundary so constraints survive
                     d = min(
                         _dist_to_loop(p, loop) for loop in loops_xy
@@ -153,7 +154,7 @@ def planar_fixture(outer, holes=(), spacing=None, z=None):
                     if d > 0.4 * spacing:
                         points.append(p)
     mesh = constrained_triangulation(points, constraints)
-    clip_to_loops(mesh, loops_xy)
+    clip_to_loops(mesh, constraints)
     pts2, tris, _ = mesh.compact()
     zs = np.zeros(len(pts2)) if z is None else np.asarray(
         [z(p[0], p[1]) for p in pts2]

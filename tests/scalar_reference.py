@@ -2,16 +2,16 @@
 
 `mesh_patch_uv` reads one metric tensor per edge for a whole phase,
 tests flips with one elementwise sign test, locates a smoothing target by
-scanning its cell in Python floats, clips with one vectorised
-winding-number evaluation and reads vertex boundary flags from a set;
-its `PlanarMesh` keeps points as Python floats.  The copies below do the
+scanning its cell in Python floats, clips by one spread from the
+directed loop edges and reads vertex boundary flags from a set; its
+`PlanarMesh` keeps points as Python floats.  The copies below do the
 same work one item at a time: a `locate` call per edge midpoint (none
 on a projected face, whose one tensor is `FaceMetric.uniform`), a
 scalar sign test per quad, a `locate_many` call per smoothed vertex, a
-winding-number loop per triangle, a boundary test that scans the
-vertex's edges, and a planar mesh with numpy points.  The batched loop
-must make the same edits in the same order, so both give the same
-arrays.
+clip that scans every triangle until the kept set stops growing, a
+boundary test that scans the vertex's edges, and a planar mesh with
+numpy points.  The batched loop must make the same edits in the same
+order, so both give the same arrays.
 
 `reference_build_brep` is the BREP builder as it was before it became
 one walk over the face loops: edge and vertex-star dicts, a chain from
@@ -248,13 +248,27 @@ class EdgeScanMesh(ReferencePlanarMesh):
         return any(e in self.constrained for e in edges)
 
 
-def scalar_clip(mesh, loops_xy):
-    for tid, tri in enumerate(mesh.tris):
-        if tri is None:
-            continue
-        cen = (mesh.points[tri[0]] + mesh.points[tri[1]] + mesh.points[tri[2]]) / 3.0
-        if scalar_winding_number(cen, loops_xy) == 0:
-            mesh._remove_tri(tid)
+def scalar_clip(mesh, loop_edges):
+    """Keep the triangles left of a directed loop edge and those that share
+    an unconstrained edge with a kept one, scanning all triangles until a
+    scan keeps no more; remove the rest."""
+    def directed(t):
+        a, b, c = mesh.tris[t]
+        return [(a, b), (b, c), (c, a)]
+
+    live = [t for t, tri in enumerate(mesh.tris) if tri is not None]
+    loop_edges = {(int(a), int(b)) for a, b in loop_edges}
+    keep = {t for t in live if loop_edges.intersection(directed(t))}
+    grown = True
+    while grown:
+        open_edges = {mesh._ekey(*e) for t in keep for e in directed(t)} - mesh.constrained
+        new = {t for t in live if t not in keep
+               and any(mesh._ekey(*e) in open_edges for e in directed(t))}
+        keep |= new
+        grown = bool(new)
+    for t in live:
+        if t not in keep:
+            mesh._remove_tri(t)
 
 
 def edge_tensor(metric, p, q):
@@ -288,7 +302,7 @@ def reference_mesh_patch_uv(patch, param, loops, h, passes=10):
         constraints += [(start + k, start + (k + 1) % nn) for k in range(nn)]
         start += nn
     mesh = triangulate_with(EdgeScanMesh, points, constraints)
-    scalar_clip(mesh, [uv for _, uv in loops])
+    scalar_clip(mesh, constraints)
     n_fixed = len(points)
 
     def ends(edges):

@@ -2,16 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scalar_reference import ReferencePlanarMesh, scalar_winding_number, triangulate_with
+from scalar_reference import ReferencePlanarMesh, triangulate_with
 
-from atlasmesh.mesh import MeshError
+from atlasmesh.mesh import MeshError, signed_uv_areas
 from atlasmesh.planar import (
     PlanarMesh,
     clip_to_loops,
     constrained_triangulation,
+    delaunay,
     point_on_segment,
     segments_cross,
-    winding_numbers,
 )
 
 
@@ -27,37 +27,6 @@ def test_point_on_segment():
                             np.array([1.0, 1.0]), 1e-12)
     assert not point_on_segment(np.array([0.5, 0.6]), np.array([0.0, 0.0]),
                                 np.array([1.0, 1.0]), 1e-12)
-
-
-def test_winding_number_with_hole():
-    outer = [np.array(p, dtype=float) for p in [(0, 0), (4, 0), (4, 4), (0, 4)]]
-    hole = [np.array(p, dtype=float) for p in [(1, 1), (1, 3), (3, 3), (3, 1)]]
-    loops = [outer, hole]  # hole clockwise
-    assert winding_numbers([(0.5, 0.5), (2.0, 2.0), (5.0, 2.0)], loops).tolist() == [1, 0, 0]
-
-
-def test_winding_numbers_equal_the_scalar_loop():
-    rng = np.random.default_rng(3)
-    # an outer loop with horizontal edges and a notch, a clockwise hole,
-    # and a second, overlapping outer loop
-    outer = np.array([(0, 0), (4, 0), (4, 2), (3, 2), (3, 1), (2, 1), (2, 3),
-                      (4, 3), (4, 4), (0, 4)], dtype=float)
-    hole = np.array([(0.5, 0.5), (0.5, 1.5), (1.5, 1.5), (1.5, 0.5)])
-    other = np.array([(3.5, 3.5), (5, 3.5), (5, 5), (3.5, 5)])
-    loops = [outer, hole, other]
-    edges = np.concatenate([np.column_stack([lp, np.roll(lp, -1, axis=0)]) for lp in loops])
-    t = rng.uniform(0.0, 1.0, (len(edges), 1))
-    points = np.concatenate([
-        np.concatenate(loops),  # loop vertices
-        edges[:, :2] + t * (edges[:, 2:] - edges[:, :2]),  # on loop edges, horizontal ones too
-        edges[:, :2] + [[0.25, 0.0]],  # level with a vertex
-        rng.uniform(-1.0, 6.0, (500, 2)),
-        np.round(rng.uniform(-1.0, 6.0, (300, 2)) * 2.0) / 2.0,  # on grid lines
-    ])
-    want = [scalar_winding_number(q, loops) for q in points]
-    assert np.array_equal(winding_numbers(points, loops), want)
-    assert [winding_numbers(q, loops)[0] for q in points[::7]] == want[::7]
-    assert set(want) == {0, 1, 2}
 
 
 def _square_mesh():
@@ -139,18 +108,25 @@ def test_cdt_rejects_crossing_constraints():
         constrained_triangulation(pts, [(0, 2), (1, 3)])
 
 
+def _directed_edges(tris):
+    return [(t[k], t[(k + 1) % 3]) for t in tris for k in range(3)]
+
+
 def test_clip_to_loops_removes_outside():
-    outer = [np.array(p, dtype=float) for p in [(0, 0), (2, 0), (2, 2), (0, 2)]]
-    pts = outer + [np.array([3.0, 1.0])]
-    mesh = constrained_triangulation(pts, [(0, 1), (1, 2), (2, 3), (3, 0)])
-    clip_to_loops(mesh, [outer])
+    outer = [(0, 0), (2, 0), (2, 2), (0, 2)]
+    hole = [(0.5, 0.5), (0.5, 1.5), (1.5, 1.5), (1.5, 0.5)]  # clockwise
+    pts = outer + hole + [(3.0, 1.0)]
+    loop_edges = [(k, (k + 1) % 4) for k in range(4)] + [(4 + k, 4 + (k + 1) % 4) for k in range(4)]
+    mesh = constrained_triangulation(pts, loop_edges)
+    clip_to_loops(mesh, loop_edges)
     _, tris, used = mesh.compact()
-    assert 4 not in used  # the outside point is gone
-    area = 0.0
-    for t, tri in enumerate(mesh.tris):
-        if tri is not None:
-            area += mesh.area(t)
-    assert area == pytest.approx(4.0)
+    assert 8 not in used  # the outside point is gone
+    live = [t for t, tri in enumerate(mesh.tris) if tri is not None]
+    assert sum(mesh.area(t) for t in live) == pytest.approx(3.0)  # the hole is gone too
+    held = _directed_edges([mesh.tris[t] for t in live])
+    assert len(set(held)) == len(held)
+    for a, b in loop_edges:  # one triangle, on the left
+        assert (a, b) in held and (b, a) not in held
 
 
 @settings(max_examples=50, deadline=None)
@@ -200,6 +176,31 @@ def _collinear_polygon(rng, corners, per_side):
     c = np.column_stack([np.cos(ang), np.sin(ang)])
     t = np.arange(per_side)[:, None] / per_side
     return np.concatenate([a + t * (b - a) for a, b in zip(c, np.roll(c, -1, axis=0))])
+
+
+def _delaunay_inputs(n_sets, seed):
+    """Random point sets in a disk; every third also holds the sides of a
+    rotated polygon around it as rows of samples moved off their line by
+    1e-17, so the hull has triples that are collinear up to rounding."""
+    rng = np.random.default_rng(seed)
+    for k in range(n_sets):
+        r, phi = np.sqrt(rng.uniform(0.0, 1.0, (2, int(rng.integers(4, 40))))) * [[0.5], [2.0 * np.pi]]
+        pts = np.column_stack([r * np.cos(phi), r * np.sin(phi)])
+        if k % 3 == 0:
+            rows = _collinear_polygon(rng, int(rng.integers(3, 7)), int(rng.integers(3, 12)))
+            pts = np.concatenate([pts, rows + rng.normal(0.0, 1e-17, rows.shape)])
+        yield pts
+
+
+def test_delaunay_keeps_qhull_orientation():
+    for pts in _delaunay_inputs(300, 11):
+        tris = delaunay(pts)
+        held = _directed_edges(tris.tolist())
+        assert len(set(held)) == len(held)
+        extent = float((pts.max(axis=0) - pts.min(axis=0)).max())
+        assert signed_uv_areas(tris, pts).min() >= -1e-12 * extent**2
+    with pytest.raises(MeshError, match="degenerate points dropped"):
+        delaunay(np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 0.0)]))
 
 
 @pytest.mark.parametrize("seed,corners,per_side", [(5, 4, 8), (7, 6, 10), (13, 5, 8), (25, 6, 10)])

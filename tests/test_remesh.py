@@ -2,6 +2,7 @@ import json
 import pickle
 import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -9,13 +10,15 @@ import pytest
 
 from fixtures import concave_hole_plate, cube, cylinder_shell, random_disk_fixture, sphere, torus
 from scalar_reference import reference_mesh_patch_uv, scalar_flip_wanted
+from test_sweep import PLACEMENTS, case_mesh
 
 from atlasmesh import pipeline, remesh
 from atlasmesh.cli import main
 from atlasmesh.io import write_mesh
-from atlasmesh.mesh import MeshError, Triangulation, validate
+from atlasmesh.mesh import MeshError, Triangulation, signed_uv_areas, validate
 from atlasmesh.param import ParamOptions, parametrize
 from atlasmesh.patch import Patch
+from atlasmesh.planar import clip_to_loops, constrained_triangulation
 from atlasmesh.pipeline import (
     PipelineOptions,
     boundary_samples,
@@ -693,6 +696,50 @@ def test_mesh_patch_uv_equals_the_serial_reference(build, h):
         assert (res.passes, res.converged) == (passes, converged), face
         got = {key: getattr(res, key) for key in counts}
         assert got == counts, face
+
+
+# Sweep cases whose UV loops Qhull triangulates with slivers over nearly
+# collinear boundary samples, and two where a sliver right of a loop edge
+# has a centroid of winding number 1 by rounding.
+SLIVER_CASES = [
+    ("plate", 0.25, (77, 1)),
+    *(("disk0", h, placement) for h in (0.15, 0.2) for placement in ((77, 0), (77, 2))),
+    *(("disk1", h, placement) for h in (0.15, 0.2, 0.25, 0.3) for placement in PLACEMENTS),
+    ("torus", 0.25, (77, 0)),
+    ("disk0", 0.25, None),
+]
+
+
+def _orientation_faults(points, triangles, loop_edges):
+    """(directed edges held by two triangles, triangles of area <= 0, loop
+    edges (a, b) not held by exactly one triangle, on their left)."""
+    t = np.asarray(triangles, dtype=np.int64)
+    directed = Counter(map(tuple, np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]]).tolist()))
+    shared = sum(n > 1 for n in directed.values())
+    flat = int((signed_uv_areas(t, points) <= 0.0).sum())
+    lonely = sum(directed[(a, b)] != 1 or (b, a) in directed for a, b in loop_edges)
+    return shared, flat, lonely
+
+
+@pytest.mark.parametrize("name,h,placement", SLIVER_CASES,
+                         ids=[f"{n}-{h}-{'unmoved' if p is None else 'place%d' % p[1]}"
+                              for n, h, p in SLIVER_CASES])
+def test_one_triangle_per_directed_edge_after_the_clip(name, h, placement):
+    atlas = build_atlas(case_mesh(name, placement), PipelineOptions(size=h))
+    _, curves = boundary_samples(atlas, h)
+    for face in range(len(atlas.brep.faces)):
+        loops = face_sample_loops(atlas, face, curves)
+        points = np.concatenate([uv for _, uv in loops])
+        sizes = [len(ids) for ids, _ in loops]
+        loop_edges = [(s + k, s + (k + 1) % n) for s, n in zip(np.cumsum([0] + sizes).tolist(), sizes)
+                      for k in range(n)]
+        mesh = constrained_triangulation(points, loop_edges)
+        clip_to_loops(mesh, loop_edges)
+        live = [tri for tri in mesh.tris if tri is not None]
+        assert _orientation_faults(mesh.points, live, loop_edges) == (0, 0, 0), face
+        res, _ = mesh_patch_uv(atlas.patches[face], atlas.params[face], loops, h)
+        assert np.array_equal(res.uv_points[:len(points)], points), face
+        assert _orientation_faults(res.uv_points, res.triangles, loop_edges) == (0, 0, 0), face
 
 
 def test_stitch_dedupes_shared_keys():
