@@ -46,17 +46,18 @@ class PlanarMesh:
     At most one live triangle holds each directed edge: the CDT keeps
     Qhull's orientation and every edit keeps it, though a sliver over
     nearly collinear samples may round to area <= 0.  `e2t` maps each
-    undirected edge to its triangles in ascending id order.  Constrained
-    edges (domain boundary) are never flipped, split, or collapsed by the
-    editing helpers.  `constrain` marks an edge; `boundary` holds every
-    vertex of a constrained edge.
+    directed edge (a, b) to the live triangle that winds a -> b; an edge
+    with a triangle on both sides is an interior edge with a `quad`.
+    Constrained edges (domain boundary) are never flipped, split, or
+    collapsed by the editing helpers.  `constrain` marks an edge;
+    `boundary` holds every vertex of a constrained edge.
     """
 
     def __init__(self, points, triangles):
         pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
         self.points = list(map(tuple, pts.tolist()))
         self.tris: list = []
-        self.e2t: dict[tuple[int, int], list[int]] = {}
+        self.e2t: dict[tuple[int, int], int] = {}
         self.v2t: dict[int, set[int]] = {i: set() for i in range(len(self.points))}
         self.constrained: set[tuple[int, int]] = set()
         self.boundary: set[int] = set()
@@ -74,13 +75,7 @@ class PlanarMesh:
         self.tris.append(tri)
         a, b, c = tri
         e2t = self.e2t
-        for key in ((a, b) if a < b else (b, a), (b, c) if b < c else (c, b),
-                    (c, a) if c < a else (a, c)):
-            tids = e2t.get(key)
-            if tids is None:
-                e2t[key] = [tid]
-            else:
-                tids.append(tid)
+        e2t[a, b] = e2t[b, c] = e2t[c, a] = tid
         v2t = self.v2t
         v2t[a].add(tid)
         v2t[b].add(tid)
@@ -90,11 +85,10 @@ class PlanarMesh:
     def _remove_tri(self, tid):
         a, b, c = self.tris[tid]
         e2t = self.e2t
-        for key in ((a, b) if a < b else (b, a), (b, c) if b < c else (c, b),
-                    (c, a) if c < a else (a, c)):
-            tids = e2t[key]
-            tids.remove(tid)
-            if not tids:
+        # a collapse may already have handed a key to the triangle replacing
+        # a neighbour; it stays with that triangle
+        for key in ((a, b), (b, c), (c, a)):
+            if e2t[key] == tid:
                 del e2t[key]
         v2t = self.v2t
         v2t[a].discard(tid)
@@ -106,8 +100,27 @@ class PlanarMesh:
         a, b, c = self.tris[tid]
         return 0.5 * _orient(self.points[a], self.points[b], self.points[c])
 
+    def has_edge(self, edge):
+        a, b = edge
+        return (a, b) in self.e2t or (b, a) in self.e2t
+
     def edges(self):
-        return list(self.e2t)
+        """Every edge once, as (low, high)."""
+        e2t = self.e2t
+        return [(a, b) if a < b else (b, a) for a, b in e2t if a < b or (b, a) not in e2t]
+
+    def quad(self, edge):
+        """(a, b, c, d) of an edge with a triangle on each side: the lower
+        triangle id winds (a, b, c), the other (b, a, d).  None otherwise."""
+        a, b = edge
+        t0, t1 = self.e2t.get((a, b)), self.e2t.get((b, a))
+        if t0 is None or t1 is None:
+            return None
+        if t1 < t0:
+            a, b, t0, t1 = b, a, t1, t0
+        x, y, z = self.tris[t0]
+        u, v, w = self.tris[t1]
+        return a, b, x + y + z - a - b, u + v + w - a - b
 
     def constrain(self, a, b):
         key = self._ekey(a, b)
@@ -120,52 +133,38 @@ class PlanarMesh:
         """Replace edge (a,b) of quad acbd by (c,d).  False if invalid."""
         if edge in self.constrained:
             return False
-        tids = self.e2t.get(edge)
-        if tids is None or len(tids) != 2:
+        q = self.quad(edge)
+        if q is None:
             return False
-        a, b = edge
-        t0, t1 = tids
-        c = next(v for v in self.tris[t0] if v not in edge)
-        d = next(v for v in self.tris[t1] if v not in edge)
-        if c == d:
-            return False
-        # t0 must wind a->b; ensure consistent naming
-        tri0 = self.tris[t0]
-        if (tri0[0], tri0[1], tri0[2]) in (
-            (b, a, c), (a, c, b), (c, b, a)
-        ):
-            a, b = b, a
-        pa, pb, pc, pd = (self.points[v] for v in (a, b, c, d))
+        a, b, c, d = q  # c == d fails the orientation test
+        pa, pb, pc, pd = (self.points[v] for v in q)
         if _orient(pa, pd, pc) <= 0.0 or _orient(pd, pb, pc) <= 0.0:
             return False
-        self._remove_tri(t0)
-        self._remove_tri(t1)
+        e2t = self.e2t
+        self._remove_tri(e2t[a, b])
+        self._remove_tri(e2t[b, a])
         self._add_tri((a, d, c))
         self._add_tri((d, b, c))
         return True
 
     def split_edge(self, edge):
         """Insert the midpoint of an edge, bisecting its adjacent triangles."""
-        tids = self.e2t.get(edge)
-        if tids is None:
-            return None
         a, b = edge
+        sides = sorted((tid, x, y) for x, y in ((a, b), (b, a))
+                       if (tid := self.e2t.get((x, y))) is not None)
+        if not sides:
+            return None
         (ax, ay), (bx, by) = self.points[a], self.points[b]
         m = len(self.points)
         self.points.append((0.5 * (ax + bx), 0.5 * (ay + by)))
         self.v2t[m] = set()
-        was_constrained = edge in self.constrained
-        for tid in tids[:]:  # _remove_tri empties the list
-            # rotate so the split edge is (x, y) in winding order
-            x, y, z = self.tris[tid]
-            if x != a and x != b:
-                x, y, z = y, z, x
-            elif y != a and y != b:
-                x, y, z = z, x, y
+        for tid, x, y in sides:  # ascending id; the triangle winds x -> y -> z
+            u, v, w = self.tris[tid]
+            z = u + v + w - x - y
             self._remove_tri(tid)
             self._add_tri((x, m, z))
             self._add_tri((m, y, z))
-        if was_constrained:
+        if edge in self.constrained:
             self.constrained.discard(edge)
             self.constrain(a, m)
             self.constrain(m, b)
@@ -249,9 +248,8 @@ def constrained_triangulation(points, constraint_edges):
         guard += 1
         if guard > 100000:
             raise MeshError("constraint recovery did not terminate")
-        a, b = queue.pop(0)
-        key = mesh._ekey(a, b)
-        if key in mesh.e2t:
+        a, b = queue.pop(0)  # low first
+        if mesh.has_edge((a, b)):
             mesh.constrain(a, b)
             continue
         pa, pb = mesh.points[a], mesh.points[b]
@@ -280,7 +278,7 @@ def constrained_triangulation(points, constraint_edges):
                 break
         if not progress:
             raise MeshError(f"cannot recover constraint edge {(a, b)}")
-        queue.insert(0, key)
+        queue.insert(0, (a, b))
     return mesh
 
 
@@ -289,16 +287,15 @@ def clip_to_loops(mesh: PlanarMesh, loop_edges):
     (a, b) without crossing a constrained edge; remove the rest in
     ascending id.  A loop edge the CDT split seeds nothing."""
     tris, e2t = mesh.tris, mesh.e2t
-    stack = [t for a, b in loop_edges for t in e2t.get(mesh._ekey(a, b), ())
-             if (a, b) in zip(tris[t], tris[t][1:] + tris[t][:1])]
+    stack = [t for t in (e2t.get((a, b)) for a, b in loop_edges) if t is not None]
     keep = set(stack)
     while stack:
-        tri = tris[stack.pop()]
-        for key in map(mesh._ekey, tri, tri[1:] + tri[:1]):
-            if key not in mesh.constrained:
-                new = [t for t in e2t[key] if t not in keep]
-                keep.update(new)
-                stack += new
+        a, b, c = tris[stack.pop()]
+        for x, y in ((a, b), (b, c), (c, a)):
+            t = e2t.get((y, x))
+            if t is not None and t not in keep and mesh._ekey(x, y) not in mesh.constrained:
+                keep.add(t)
+                stack.append(t)
     for tid, tri in enumerate(tris):
         if tri is not None and tid not in keep:
             mesh._remove_tri(tid)

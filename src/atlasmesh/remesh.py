@@ -223,38 +223,27 @@ class FaceMetric:
         return np.sqrt(np.maximum((D[:, None, :] @ M @ D[:, :, None])[:, 0, 0], 0.0))
 
 
-def _flip_rule(ax, ay, bx, by, cx, cy, dx, dy, m00, m01, m10, m11):
-    """The flip test of `flip_wanted` on floats or on broadcasting arrays,
-    with one fixed order of products and sums (u^T M v as (u^T M) v)."""
-    ux, uy, vx, vy = ax - cx, ay - cy, bx - cx, by - cy
-    dot_c = (ux * m00 + uy * m10) * vx + (ux * m01 + uy * m11) * vy
-    cross_c = abs(ux * vy - uy * vx)
-    ux, uy, vx, vy = ax - dx, ay - dy, bx - dx, by - dy
-    dot_d = (ux * m00 + uy * m10) * vx + (ux * m01 + uy * m11) * vy
-    cross_d = abs(ux * vy - uy * vx)
-    s = cross_c * dot_d + dot_c * cross_d
-    return s < -1e-9 * (cross_c * abs(dot_d) + abs(dot_c) * cross_d)
-
-
-def flip_wanted(M, P):
-    """(n,) metric Delaunay test of the (n, 4, 2) quads (a, b, c, d) of edges
-    ab with opposite vertices c and d: the angles at c and d under the
-    (n, 2, 2) tensors M sum to more than pi.
+def flip_wanted(m, a, b, c, d):
+    """Metric Delaunay test of edge ab with opposite vertices c and d, all
+    (x, y) points of Python floats, under the tensor m = (m00, m01, m10,
+    m11): the angles at c and d sum to more than pi.
 
     At o = c, d with u, v = a - o, b - o, the angle's cosine and sine are
     `u^T M v` and `|u x v| sqrt(det M)` over the same positive product of
     metric norms, so sin(alpha + beta) has the sign of
-    `cross_c * dot_d + dot_c * cross_d`.  The test is elementwise, so
-    `flip_wanted_one` gives the same answer bit for bit.
+    `cross_c * dot_d + dot_c * cross_d`, each `u^T M v` summed as
+    (u^T M) v.  Swapping c and d gives the same bits; swapping a and b
+    need not.
     """
-    P = np.asarray(P, dtype=np.float64).reshape(-1, 8)
-    return _flip_rule(*P.T, *np.asarray(M, dtype=np.float64).reshape(-1, 4).T)
-
-
-def flip_wanted_one(m, a, b, c, d):
-    """`flip_wanted` of one quad of (x, y) points under the tensor m =
-    (m00, m01, m10, m11), in Python floats."""
-    return _flip_rule(*a, *b, *c, *d, *m)
+    m00, m01, m10, m11 = m
+    ux, uy, vx, vy = a[0] - c[0], a[1] - c[1], b[0] - c[0], b[1] - c[1]
+    dot_c = (ux * m00 + uy * m10) * vx + (ux * m01 + uy * m11) * vy
+    cross_c = abs(ux * vy - uy * vx)
+    ux, uy, vx, vy = a[0] - d[0], a[1] - d[1], b[0] - d[0], b[1] - d[1]
+    dot_d = (ux * m00 + uy * m10) * vx + (ux * m01 + uy * m11) * vy
+    cross_d = abs(ux * vy - uy * vx)
+    s = cross_c * dot_d + dot_c * cross_d
+    return s < -1e-9 * (cross_c * abs(dot_d) + abs(dot_c) * cross_d)
 
 
 def discretize_curve(points3d, h, closed=False):
@@ -339,26 +328,15 @@ def mesh_patch_uv(
         e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         return xy[e[:, 0]], xy[e[:, 1]]
 
-    def quad(e):
-        """(a, b, c, d): edge e = (a, b) and its opposite vertices, or None
-        unless e has two triangles."""
-        tids = mesh.e2t.get(e)
-        if tids is None or len(tids) != 2:
-            return None
-        a, b = e
-        x, y, z = mesh.tris[tids[0]]
-        u, v, w = mesh.tris[tids[1]]
-        return a, b, x + y + z - a - b, u + v + w - a - b
-
     # Split, collapse and flip each read the metric in at most one call, one
     # tensor per edge at its midpoint; on a curved face the call locates
     # only the midpoints the face has not read before.  No vertex moves before
     # smoothing, so an edge keeps its length for the pass: splits act on
     # the lengths they start with, and collapses measure only the edges
-    # that splits made.  The flip test of every edge is made at the start
-    # in one call; a flip changes the quads of the four edges around it,
-    # and the sweep tests such an edge again alone, with
-    # `flip_wanted_one`, when it reaches it.
+    # that splits made.  The flip sweep reads every edge's tensor in one
+    # call at its start, then tests each edge on its quad as it stands
+    # when the sweep reaches it: a flip changes the quads of the four
+    # edges around it.
     # Smoothing moves vertices and stays serial.  Vertices past n_fixed
     # are interior: no constrained edge is split.
     counts = dict.fromkeys(("splits", "collapses", "flips", "moves"), 0)
@@ -373,7 +351,7 @@ def mesh_patch_uv(
         lens = dict(zip(edges, lens.tolist()))
         n_old = len(mesh.points)
         for _, e in sorted((-ln, e) for e, ln in lens.items() if ln > METRIC_LONG):
-            if e in mesh.e2t and mesh.split_edge(e) is not None:
+            if mesh.has_edge(e) and mesh.split_edge(e) is not None:
                 counts["splits"] += 1
         # collapse short interior edges; collapses and flips move no point
         xy = np.asarray(mesh.points)
@@ -386,28 +364,17 @@ def mesh_patch_uv(
             measured = metric.edge_lengths(*ends(new, xy))
             lens.update(zip(new, measured.tolist()))
         for e in edges:
-            if lens[e] < METRIC_SHORT and e in mesh.e2t and mesh.collapse(e):
+            if lens[e] < METRIC_SHORT and mesh.has_edge(e) and mesh.collapse(e):
                 counts["collapses"] += 1
         # metric Delaunay flips
         edges = [e for e in sorted(mesh.edges()) if e not in mesh.constrained]
         pa, pb = ends(edges, xy)
-        tensors = metric.at(0.5 * (pa + pb))
-        quads = [quad(e) for e in edges]
-        rows = [i for i, q in enumerate(quads) if q is not None]
-        P = xy[np.asarray([quads[i] for i in rows], dtype=np.int64).reshape(-1, 4)]
-        want = dict(zip(rows, flip_wanted(tensors[rows], P).tolist()))
+        tensors = metric.at(0.5 * (pa + pb)).reshape(-1, 4).tolist()
         pts = mesh.points
-        stale = set()  # edges whose quad a flip of this sweep changed
-        for i, e in enumerate(edges):
-            if e in stale:
-                q = quads[i] = quad(e)
-                want[i] = q is not None and flip_wanted_one(
-                    tensors[i].ravel().tolist(), pts[q[0]], pts[q[1]], pts[q[2]], pts[q[3]])
-            if want.get(i) and mesh.flip(e):
+        for e, m in zip(edges, tensors):
+            q = mesh.quad(e)  # the rule takes a, b as e has them: low first
+            if q and flip_wanted(m, pts[e[0]], pts[e[1]], pts[q[2]], pts[q[3]]) and mesh.flip(e):
                 counts["flips"] += 1
-                a, b, c, d = quads[i]
-                for f in ((a, c), (c, b), (b, d), (d, a)):
-                    stale.add(mesh._ekey(*f))
         # smooth interior vertices
         for v in range(n_fixed, len(pts)):
             if not mesh.v2t[v]:

@@ -114,6 +114,9 @@ class ReferencePlanarMesh:
         a, b, c = (self.points[v] for v in self.tris[tid])
         return 0.5 * _orient(a, b, c)
 
+    def has_edge(self, edge):
+        return self._ekey(*edge) in self.e2t
+
     def edges(self):
         return list(self.e2t)
 

@@ -90,7 +90,7 @@ def test_cdt_recovers_forced_edge():
     # points placed so Delaunay avoids the long diagonal
     pts = [(0, 0), (10, 0), (10, 1), (0, 1), (5, 0.45), (5, 0.55)]
     mesh = constrained_triangulation(pts, [(0, 2)])
-    assert (0, 2) in mesh.e2t
+    assert mesh.has_edge((0, 2))
     assert (0, 2) in mesh.constrained
 
 
@@ -152,8 +152,7 @@ def test_cdt_always_recovers_hull_edges(int_pts):
     except MeshError:
         return  # degenerate input dropped by Delaunay
     for a, b in edges:
-        key = (a, b) if a < b else (b, a)
-        if key in mesh.e2t:
+        if mesh.has_edge((a, b)):
             continue
         # a collinear vertex splits the constraint: the segment must be
         # covered by a chain of constrained sub-edges instead

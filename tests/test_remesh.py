@@ -33,7 +33,6 @@ from atlasmesh.remesh import (
     UVLocator,
     discretize_curve,
     flip_wanted,
-    flip_wanted_one,
     mesh_patch_uv,
     stitch,
 )
@@ -533,26 +532,23 @@ def angle_sum(M, p):
     return total
 
 
+def _flip_answers(M, P):
+    """flip_wanted's answers, one quad at a time, checked equal to the
+    scalar reference's."""
+    got = [flip_wanted(m, *p) for m, p in zip(M.reshape(-1, 4).tolist(), P.tolist())]
+    assert got == [scalar_flip_wanted(m, p) for m, p in zip(M, P)]
+    return got
+
+
 def test_stacked_flip_angles_equal_the_scalar_formula():
     P, M = _quads_and_tensors(4000, 0)
-    decide = [scalar_flip_wanted(m, p) for m, p in zip(M, P)]
-    assert np.array_equal(flip_wanted(M, P), decide)
+    decide = _flip_answers(M, P)
     assert 0 < sum(decide) < len(decide)
-    for i in range(0, len(P), 97):  # one quad at a time, as the serial sweep asks
-        assert flip_wanted(M[i:i + 1], P[i:i + 1])[0] == decide[i]
     # the sign of sin(alpha + beta) is the angle-sum rule away from pi
     angles = np.array([angle_sum(m, p) for m, p in zip(M, P)])
     clear = np.abs(angles - np.pi) > 1e-6
     assert clear.sum() > 0.9 * len(P)
     assert np.array_equal(np.asarray(decide)[clear], angles[clear] > np.pi)
-
-
-def _same_flip_answers(M, P):
-    """flip_wanted's answers, checked equal to flip_wanted_one's, quad by quad."""
-    batch = flip_wanted(M, P).tolist()
-    one = [flip_wanted_one(m, *p) for m, p in zip(M.reshape(-1, 4).tolist(), P.tolist())]
-    assert batch == one
-    return batch
 
 
 def _threshold_quads(seed, n=40, ulps=6):
@@ -580,7 +576,7 @@ def _threshold_quads(seed, n=40, ulps=6):
             return centre + r * corners @ inv.T
 
         def wanted(t):
-            return flip_wanted(M[None], quad(t)[None])[0]
+            return flip_wanted(M.ravel().tolist(), *quad(t).tolist())
 
         lo, hi = -1e-3, 1e-3  # d outside the circle: no flip; inside: flip
         want_lo = wanted(lo)
@@ -602,10 +598,10 @@ def _threshold_quads(seed, n=40, ulps=6):
     return np.array(tensors), np.array(quads)
 
 
-def test_flip_wanted_one_equals_flip_wanted_bit_for_bit():
+def test_flip_wanted_equals_the_scalar_reference():
     # random quads with SPD tensors, repeated and collinear corners among them
     P, M = _quads_and_tensors(4000, 1)
-    decide = _same_flip_answers(M, P)
+    decide = _flip_answers(M, P)
     assert 0 < sum(decide) < len(decide)
     # cocircular quads of a regular lattice under I / h^2: s is about 0
     rng = np.random.default_rng(2)
@@ -614,20 +610,23 @@ def test_flip_wanted_one_equals_flip_wanted_bit_for_bit():
     square = np.array([[0.0, 0.0], [step, step], [step, 0.0], [0.0, step]])
     P = corner + square * rng.choice([-1.0, 1.0], size=(2000, 1, 2))
     M = np.broadcast_to(metric_tensor(np.eye(3, 2), h), (2000, 2, 2))
-    _same_flip_answers(M, P)
+    _flip_answers(M, P)
     # within a few ulps of the threshold: both answers occur
     M, P = _threshold_quads(3)
     assert len(P) >= 20 * 14
-    decide = _same_flip_answers(M, P)
+    decide = _flip_answers(M, P)
     assert 0 < sum(decide) < len(decide)
     # signed zeros in the corners and the tensors
     P = rng.choice([-0.0, 0.0, -1.0, 1.0, 2.0], size=(3000, 4, 2))
     M = np.zeros((3000, 2, 2))
     M[:, 0, 0], M[:, 1, 1] = rng.choice([1.0, 4.0], size=(2, 3000))
     M[:, 0, 1] = M[:, 1, 0] = rng.choice([-0.0, 0.0], size=3000)
-    decide = _same_flip_answers(M, P)
+    decide = _flip_answers(M, P)
     assert 0 < sum(decide) < len(decide)
     assert np.signbit(P[P == 0.0]).any() and np.signbit(M[M == 0.0]).any()
+    # the answer does not depend on the order of c and d
+    swapped = P[:, [0, 1, 3, 2]]
+    assert [flip_wanted(m, *p) for m, p in zip(M.reshape(-1, 4).tolist(), swapped.tolist())] == decide
 
 
 def test_edge_lengths_of_a_subset_equal_rows_of_the_batch(uv_faces):
@@ -642,19 +641,25 @@ def test_edge_lengths_of_a_subset_equal_rows_of_the_batch(uv_faces):
 
 
 def test_each_edge_is_measured_once_per_pass(monkeypatch):
-    passes, edge_lengths, wanted = [[]], FaceMetric.edge_lengths, remesh.flip_wanted
+    passes, edge_lengths, at = [[]], FaceMetric.edge_lengths, FaceMetric.at
+    measuring = [False]
 
     def recording_lengths(self, P, Q):
         passes[-1].append([tuple(sorted(map(tuple, pq))) for pq in zip(np.asarray(P).tolist(),
                                                                           np.asarray(Q).tolist())])
-        return edge_lengths(self, P, Q)
+        measuring[0] = True
+        try:
+            return edge_lengths(self, P, Q)
+        finally:
+            measuring[0] = False
 
-    def pass_ends(M, P):  # the flip phase, after the last measurement of a pass
-        passes.append([])
-        return wanted(M, P)
+    def pass_ends(self, X):  # the flip phase, after the last measurement of a pass
+        if not measuring[0]:
+            passes.append([])
+        return at(self, X)
 
     monkeypatch.setattr(FaceMetric, "edge_lengths", recording_lengths)
-    monkeypatch.setattr(remesh, "flip_wanted", pass_ends)
+    monkeypatch.setattr(FaceMetric, "at", pass_ends)
     _, summary, _ = remesh_model(torus(nu=12, nv=6), PipelineOptions(size=0.6))
     calls = passes[:-1]
     assert len(calls) == sum(f["passes"] for f in summary["remesh_faces"])
