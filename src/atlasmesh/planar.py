@@ -45,7 +45,9 @@ class PlanarMesh:
     triangles are tombstoned with None; `compact()` returns clean arrays.
     At most one live triangle holds each directed edge: the CDT keeps
     Qhull's orientation and every edit keeps it, though a sliver over
-    nearly collinear samples may round to area <= 0.  `e2t` maps each
+    nearly collinear samples may round to area <= 0, and next to such a
+    sliver `flip` and `collapse` refuse an edit that would give a directed
+    edge a second triangle.  `e2t` maps each
     directed edge (a, b) to the live triangle that winds a -> b; an edge
     with a triangle on both sides is an interior edge with a `quad`.
     Constrained edges (domain boundary) are never flipped, split, or
@@ -130,7 +132,9 @@ class PlanarMesh:
     # -- local operations ---------------------------------------------------
 
     def flip(self, edge):
-        """Replace edge (a,b) of quad acbd by (c,d).  False if invalid."""
+        """Replace edge (a,b) of quad acbd by (c,d).  False if either new
+        triangle would lose its orientation, or if c and d are already
+        joined."""
         if edge in self.constrained:
             return False
         q = self.quad(edge)
@@ -138,7 +142,7 @@ class PlanarMesh:
             return False
         a, b, c, d = q  # c == d fails the orientation test
         pa, pb, pc, pd = (self.points[v] for v in q)
-        if _orient(pa, pd, pc) <= 0.0 or _orient(pd, pb, pc) <= 0.0:
+        if _orient(pa, pd, pc) <= 0.0 or _orient(pd, pb, pc) <= 0.0 or self.has_edge((c, d)):
             return False
         e2t = self.e2t
         self._remove_tri(e2t[a, b])
@@ -171,27 +175,35 @@ class PlanarMesh:
         return m
 
     def collapse(self, edge):
-        """Merge vertex a of (a,b) into b; a must be interior.  False if invalid."""
+        """Merge vertex a of (a,b) into b; a must be interior.  False if a
+        triangle would lose its orientation, or if a directed edge at b
+        would gain a second triangle: a and b share a neighbour besides
+        the corners of the triangles on ab."""
         a, b = edge
         if a in self.boundary:
             if b in self.boundary:
                 return False
             a, b = b, a
+        tris, e2t, pts = self.tris, self.e2t, self.points
         ring = list(self.v2t[a])  # _remove_tri shrinks the set
-        pts = self.points
-        pb = pts[b]
+        new = []
         for tid in ring:
-            x, y, z = self.tris[tid]
+            x, y, z = tris[tid]
             if x == b or y == b or z == b:
+                new.append(None)
                 continue
-            if _orient(pb if x == a else pts[x], pb if y == a else pts[y],
-                       pb if z == a else pts[z]) <= 0.0:
+            x, y, z = tri = (b if x == a else x, b if y == a else y, b if z == a else z)
+            if _orient(pts[x], pts[y], pts[z]) <= 0.0:
                 return False
-        for tid in ring:
-            x, y, z = self.tris[tid]
+            for key in ((x, y), (y, z), (z, x)):
+                t = e2t.get(key)
+                if t is not None and a not in tris[t]:
+                    return False
+            new.append(tri)
+        for tid, tri in zip(ring, new):
             self._remove_tri(tid)
-            if x != b and y != b and z != b:
-                self._add_tri((b if x == a else x, b if y == a else y, b if z == a else z))
+            if tri is not None:
+                self._add_tri(tri)
         return True
 
     def move_vertex(self, v, point):

@@ -63,6 +63,9 @@ def scalar_winding_number(point, loops):
 class ReferencePlanarMesh:
     """`planar.PlanarMesh` as it was, with numpy points and helper calls.
 
+    `flip` and `collapse` refuse an edit that would give a directed edge
+    a second live triangle, as `PlanarMesh`'s do.
+
     Deleted triangles are tombstoned with None; `compact()` returns clean
     arrays.  Constrained edges (domain boundary) are never flipped,
     split, or collapsed by the editing helpers.  `constrain` marks an
@@ -141,7 +144,7 @@ class ReferencePlanarMesh:
         t0, t1 = tids
         c = next(v for v in self.tris[t0] if v not in edge)
         d = next(v for v in self.tris[t1] if v not in edge)
-        if c == d:
+        if c == d or self._ekey(c, d) in self.e2t:
             return False
         # t0 must wind a->b; ensure consistent naming
         tri0 = self.tris[t0]
@@ -205,6 +208,11 @@ class ReferencePlanarMesh:
             pts = [pb if v == a else self.points[v] for v in tri]
             if _orient(*pts) <= 0.0:
                 return False
+            new = tuple(b if v == a else v for v in tri)
+            for u, v in zip(new, new[1:] + new[:1]):
+                held = [self.tris[t] for t in self.e2t.get(self._ekey(u, v), ())]
+                if any(a not in t and (u, v) in zip(t, t[1:] + t[:1]) for t in held):
+                    return False
         for tid in ring:
             tri = self.tris[tid]
             self._remove_tri(tid)

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -202,12 +204,36 @@ def test_delaunay_keeps_qhull_orientation():
         delaunay(np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 0.0)]))
 
 
-@pytest.mark.parametrize("seed,corners,per_side", [(5, 4, 8), (7, 6, 10), (13, 5, 8), (25, 6, 10)])
-def test_edits_equal_the_reference_mesh(seed, corners, per_side):
-    rng = np.random.default_rng(seed)
+EDIT_CASES = [(5, 4, 8), (7, 6, 10), (13, 5, 8), (25, 6, 10)]  # seed, corners, per side
+
+
+def _loop_mesh(rng, corners, per_side, cls=PlanarMesh):
+    """(the CDT of a collinear polygon's loop as a `cls` mesh, its loop)."""
     loop = _collinear_polygon(rng, corners, per_side)
     cons = [(k, (k + 1) % len(loop)) for k in range(len(loop))]
-    new = constrained_triangulation(loop, cons)
+    return triangulate_with(cls, loop, cons), loop
+
+
+def _random_edits(mesh, rng, steps=400):
+    """(step, edit name, arguments): random splits, collapses, flips and
+    moves of mesh's edges and their ends, each drawn after the last was
+    applied."""
+    for step in range(steps):
+        edges = sorted(mesh.edges())
+        e = edges[rng.integers(len(edges))]
+        op = rng.choice(["split_edge", "collapse", "flip", "move_vertex"], p=[0.3, 0.25, 0.25, 0.2])
+        if op == "move_vertex":
+            v = e[rng.integers(2)]
+            yield step, op, (v, tuple(np.add(mesh.points[v], rng.normal(0.0, 0.05, 2)).tolist()))
+        else:
+            yield step, op, (e,)
+
+
+@pytest.mark.parametrize("seed,corners,per_side", EDIT_CASES)
+def test_edits_equal_the_reference_mesh(seed, corners, per_side):
+    rng = np.random.default_rng(seed)
+    new, loop = _loop_mesh(rng, corners, per_side)
+    cons = [(k, (k + 1) % len(loop)) for k in range(len(loop))]
     ref = triangulate_with(ReferencePlanarMesh, loop, cons)
     live = [t for t, tri in enumerate(new.tris) if tri is not None]
     assert min(abs(new.area(t)) for t in live) == 0.0
@@ -216,17 +242,31 @@ def test_edits_equal_the_reference_mesh(seed, corners, per_side):
         pts, tris, used = mesh.compact()
         return pts, tris, used, set(mesh.edges())
 
-    for step in range(400):
-        edges = sorted(new.edges())
-        e = edges[rng.integers(len(edges))]
-        op = rng.choice(["split_edge", "collapse", "flip", "move_vertex"], p=[0.3, 0.25, 0.25, 0.2])
-        if op == "move_vertex":
-            v = e[rng.integers(2)]
-            args = (v, tuple(np.add(new.points[v], rng.normal(0.0, 0.05, 2)).tolist()))
-        else:
-            args = (e,)
+    for step, op, args in _random_edits(new, rng):
         assert getattr(new, op)(*args) == getattr(ref, op)(*args), (step, op)
         got, want = state(new), state(ref)
         for g, w in zip(got[:3], want[:3]):
             assert np.array_equal(g, w), (step, op)
         assert got[3] == want[3], (step, op)
+
+
+# without the guards of flip and collapse, these sequences put a second live
+# triangle on a directed edge next to a sliver of negative area: by a flip at
+# step 5 and step 0 of the first two, by a collapse at step 349 of (7, 6, 10)
+GUARDED_CASES = [(9, 6, 10), (49, 5, 8)] + EDIT_CASES
+
+
+@pytest.mark.parametrize("seed,corners,per_side", GUARDED_CASES)
+def test_e2t_is_the_map_of_the_live_triangles(seed, corners, per_side):
+    # a collapse replaces the triangles around a vertex one at a time, so a
+    # directed edge can pass to a new triangle before its old one is removed
+    rng = np.random.default_rng(seed)
+    mesh, _ = _loop_mesh(rng, corners, per_side)
+    accepted = Counter()
+    for step, op, args in _random_edits(mesh, rng):
+        accepted[op] += bool(getattr(mesh, op)(*args))
+        held = [(e, t) for t, tri in enumerate(mesh.tris) if tri is not None
+                for e in _directed_edges([tri])]
+        assert len({e for e, _ in held}) == len(held), (step, op)
+        assert mesh.e2t == dict(held), (step, op)
+    assert min(accepted.values()) > 0
