@@ -180,12 +180,14 @@ class BRep:
         return model.vertices[np.asarray(self.curves[cid].vertices, dtype=np.int64)]
 
 
-def build_brep(model: Triangulation, patches: list[Patch]) -> BRep:
+def build_brep(model: Triangulation, patches: list[Patch], sharp=()) -> BRep:
     """Cut the patch boundary loops into curves at the corners.
 
     The curve network is the union of all patch boundary edges (feature
     edges, cuts and model boundary alike).  A network vertex is a corner
-    unless it has valence two and both its edges border the same faces.
+    if it is in `sharp` (the pipeline passes `feature_corners`, where a
+    feature curve turns), or unless it has valence two and both its
+    edges border the same faces.
     Each loop, rotated to its first corner, is cut at every corner into
     runs; a loop without a corner is one closed run, cut at its smallest
     vertex.  A curve starts at its smaller end, towards the smaller
@@ -208,7 +210,7 @@ def build_brep(model: Triangulation, patches: list[Patch]) -> BRep:
     n_pairs = np.bincount(
         np.unique(ends * nf * nf + np.tile(first * nf + last, 2)) // (nf * nf), minlength=n
     )
-    is_corner = (valence > 0) & ((valence != 2) | (n_pairs > 1))
+    is_corner = (valence > 0) & ((valence != 2) | (n_pairs > 1) | np.isin(np.arange(n), sharp))
 
     runs: dict[tuple, tuple[list, list]] = {}  # curve key -> (vertices, faces)
     walks = []  # per face, per loop: (curve key, forward) of each run

@@ -30,7 +30,8 @@ def _add_common(p):
 def _add_atlas_flags(p):
     d = PipelineOptions()
     p.add_argument("--angle", type=float, default=d.angle_deg,
-                   help="feature dihedral threshold in degrees; 180 disables")
+                   help="feature dihedral threshold, and the turn that makes a feature "
+                   "curve's vertex a corner, in degrees; 180 disables both")
     p.add_argument("--scheme", choices=SCHEMES, default=d.scheme)
     p.add_argument("--hole-policy", choices=HOLE_POLICIES, default=d.hole_policy)
     p.add_argument("--hole-threshold", type=int, default=d.hole_threshold)

@@ -40,6 +40,26 @@ def detect_feature_edges(
     return (adj.edge_count == 1) | (dihedral_angles(tri, adj) > threshold_deg)
 
 
+def feature_corners(
+    tri: Triangulation, adj: Adjacency, features: np.ndarray, threshold_deg: float
+) -> np.ndarray:
+    """Ascending ids of the vertices where exactly two edges of the feature
+    mask meet and turn by more than the threshold: the sharp corners of a
+    feature curve or of the model boundary, which may have neither
+    another curve nor another face pair to mark them."""
+    e = adj.edges[features]
+    two = np.bincount(e.ravel(), minlength=tri.n_vertices) == 2
+    # (vertex, other end) of each feature edge at such a vertex, by vertex
+    ends = np.concatenate([e, e[:, ::-1]])
+    ends = ends[two[ends[:, 0]]]
+    ends = ends[np.argsort(ends[:, 0], kind="stable")]
+    v, u, w = ends[0::2, 0], ends[0::2, 1], ends[1::2, 1]
+    X = tri.vertices
+    d1, d2 = X[v] - X[u], X[w] - X[v]
+    cos = (d1 * d2).sum(axis=1) / np.sqrt((d1 * d1).sum(axis=1) * (d2 * d2).sum(axis=1))
+    return v[np.degrees(np.arccos(np.clip(cos, -1.0, 1.0))) > threshold_deg]
+
+
 def segment_patches(tri: Triangulation, adj: Adjacency, features: np.ndarray) -> np.ndarray:
     """(m,) patch label of each triangle, given the feature mask over `adj.edges`.
 

@@ -8,7 +8,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .atlas import BRep, build_brep, make_parametrizable
-from .features import detect_feature_edges, segment_patches
+from .features import detect_feature_edges, feature_corners, segment_patches
 from .mesh import Adjacency, MeshError, Triangulation, validate
 from .param import ParamOptions, Parametrization, projection
 from .param import parametrize as disk_map  # the name `parametrize` is this module's face map
@@ -78,7 +78,7 @@ def build_atlas(model: Triangulation, opt: PipelineOptions | None = None) -> Atl
     seeds = [Patch(model, np.flatnonzero(labels == pid)) for pid in range(n_patches)]
     results, split_records = make_parametrizable(seeds, opt.max_triangles, prepare)
     patches = [r[0] for r in results]
-    brep = build_brep(model, patches)
+    brep = build_brep(model, patches, feature_corners(model, adj, features, opt.angle_deg))
 
     summary = {
         "input_triangles": model.n_triangles,

@@ -16,10 +16,10 @@ from scalar_reference import reference_build_brep
 
 from atlasmesh import param, pipeline
 from atlasmesh.atlas import bisect_patch, build_brep, make_parametrizable, split_reason
-from atlasmesh.features import detect_feature_edges, segment_patches
+from atlasmesh.features import detect_feature_edges, feature_corners, segment_patches
 from atlasmesh.mesh import Adjacency, MeshError, Triangulation
 from atlasmesh.patch import Patch
-from atlasmesh.pipeline import PipelineOptions, build_atlas
+from atlasmesh.pipeline import PipelineOptions, build_atlas, remesh_model
 from atlasmesh.refine import default_threshold, longest_edge_bisection
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
@@ -131,12 +131,39 @@ def test_brep_curves_reference_model_vertices():
 
 
 def test_plate_brep_has_closed_hole_curve():
+    # at a feature angle of 180 no turn is sharp, so neither loop has a corner
     mesh = concave_hole_plate()
-    atlas = build_atlas(mesh, PipelineOptions(refine_threshold=None))
+    atlas = build_atlas(mesh, PipelineOptions(refine_threshold=None, angle_deg=180.0))
     closed = [c for c in atlas.brep.curves if c.closed]
     assert len(closed) == 2  # outer boundary and hole rim
     (face,) = atlas.brep.faces
     assert len(face.loops) == 2
+
+
+@pytest.mark.parametrize("make,sharp", [(concave_hole_plate, 14), (lambda: random_disk_fixture(0), 9),
+                                        (lambda: random_disk_fixture(1), 8)])
+def test_sharp_boundary_turns_are_brep_corners(make, sharp):
+    mesh = make()
+    adj = Adjacency(mesh)
+    features = detect_feature_edges(mesh, adj, 40.0)
+    corners = feature_corners(mesh, adj, features, 40.0)
+    assert len(corners) == sharp
+    assert len(feature_corners(mesh, adj, features, 180.0)) == 0
+    atlas = build_atlas(mesh, PipelineOptions(refine_threshold=None))
+    assert set(corners.tolist()) <= set(atlas.brep.points)
+    # the remeshed boundary passes through every one of them
+    out, _, _ = remesh_model(mesh, PipelineOptions(size=0.25))
+    gap = np.linalg.norm(out.vertices[None] - mesh.vertices[corners][:, None], axis=2).min(axis=1)
+    assert (gap == 0.0).all()
+
+
+def test_atlas_cuts_make_no_sharp_corner():
+    # the cuts of a closed sphere zig-zag along input edges; only feature
+    # edges can mark a sharp turn, and a sphere has none
+    mesh = sphere(3)
+    atlas = build_atlas(mesh, PipelineOptions(refine_threshold=None))
+    assert len(atlas.patches) > 1
+    assert atlas.brep.points == reference_build_brep(mesh, atlas.patches).points
 
 
 def test_face_loops_walk_consistently():

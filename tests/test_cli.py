@@ -235,7 +235,8 @@ def test_atlas_writes_no_zero_length_curve_element(make, tmp_path):
     src = tmp_path / "model.msh"
     write_mesh(make(), src)
     out = tmp_path / "atlas.msh"
-    assert main(["atlas", str(src), "-o", str(out)]) == 0
+    # at --angle 180 no boundary turn is a corner, so each loop is one closed curve
+    assert main(["atlas", str(src), "-o", str(out), "--angle", "180"]) == 0
     curves = [elems for etype, elems in _msh_element_blocks(out) if etype == 1]
     assert len(curves) == 2  # each fixture's two closed curves
     for elems in curves:

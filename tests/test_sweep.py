@@ -30,8 +30,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import check  # noqa: E402
 import models  # noqa: E402
 
-PLANAR_CHECKS = ("planar area", "planar centroid")
-
 # name -> (build, grid sizes, closed, planar faces, float32 input,
 #          {known failure kind: owning ROADMAP item})
 FIXTURES = {
@@ -39,12 +37,11 @@ FIXTURES = {
     "sphere3": (lambda: sphere(3), (0.2, 0.25, 0.3, 0.4), True, False, False, {"fold": 4}),
     "torus": (torus, (0.25, 0.3, 0.4, 0.5), True, False, False, {}),
     "cylinder": (cylinder_shell, (0.2, 0.25, 0.3, 0.4), False, False, False, {}),
-    "plate": (concave_hole_plate, (0.12, 0.15, 0.2, 0.25), False, True, False,
-              dict.fromkeys(PLANAR_CHECKS, 9)),
+    "plate": (concave_hole_plate, (0.12, 0.15, 0.2, 0.25), False, True, False, {}),
     **{
         f"disk{seed}": (
             lambda seed=seed: random_disk_fixture(seed), (0.15, 0.2, 0.25, 0.3), False,
-            seed < 2, False, dict.fromkeys(PLANAR_CHECKS, 9) if seed < 2 else {},
+            seed < 2, False, {"planar area": 9} if seed < 2 else {},
         )
         for seed in range(4)
     },
