@@ -44,12 +44,11 @@ class PlanarMesh:
     expressions as on numpy scalars, so they round the same.  Deleted
     triangles are tombstoned with None; `compact()` returns clean arrays.
     At most one live triangle holds each directed edge: the CDT keeps
-    Qhull's orientation and every edit keeps it, though a sliver over
-    nearly collinear samples may round to area <= 0, and next to such a
-    sliver `flip` and `collapse` refuse an edit that would give a directed
-    edge a second triangle.  `e2t` maps each
-    directed edge (a, b) to the live triangle that winds a -> b; an edge
-    with a triangle on both sides is an interior edge with a `quad`.
+    Qhull's orientation and every edit keeps it.  A sliver over nearly
+    collinear samples may round to area <= 0; next to one, `flip` and
+    `collapse` refuse an edit that would give a directed edge a second
+    triangle.  `e2t` maps each directed edge (a, b) to the live triangle
+    that winds a -> b; an edge with a triangle on each side has a `quad`.
     Constrained edges (domain boundary) are never flipped, split, or
     collapsed by the editing helpers.  `constrain` marks an edge;
     `boundary` holds every vertex of a constrained edge.

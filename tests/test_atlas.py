@@ -140,8 +140,9 @@ def test_plate_brep_has_closed_hole_curve():
     assert len(face.loops) == 2
 
 
-@pytest.mark.parametrize("make,sharp", [(concave_hole_plate, 14), (lambda: random_disk_fixture(0), 9),
-                                        (lambda: random_disk_fixture(1), 8)])
+@pytest.mark.parametrize("make,sharp", [
+    (concave_hole_plate, 14), (lambda: random_disk_fixture(0), 9), (lambda: random_disk_fixture(1), 8),
+], ids=["plate", "disk0", "disk1"])
 def test_sharp_boundary_turns_are_brep_corners(make, sharp):
     mesh = make()
     adj = Adjacency(mesh)
