@@ -126,7 +126,13 @@ def cmd_info(args):
     mesh = _load(args)
     adj = Adjacency(mesh)
     report = validate(mesh, adj)
-    topo, parametrizable = euler_check(mesh, adj)
+    topology = dict.fromkeys(
+        ("euler_characteristic", "genus", "holes", "parametrizable", "formula_residual"))
+    if report.manifold and report.oriented:  # euler_check raises on any other mesh
+        topo, parametrizable = euler_check(mesh, adj)
+        topology.update(euler_characteristic=topo.p - topo.e + topo.t, genus=topo.g,
+                        holes=topo.h, parametrizable=parametrizable,
+                        formula_residual=topo.formula_residual())
     out = {
         "vertices": mesh.n_vertices,
         "triangles": mesh.n_triangles,
@@ -135,11 +141,7 @@ def cmd_info(args):
         "watertight": report.watertight,
         "boundary_loops": report.boundary_loop_count,
         "degenerate_triangles": len(report.degenerate_triangles),
-        "euler_characteristic": topo.p - topo.e + topo.t,
-        "genus": topo.g,
-        "holes": topo.h,
-        "parametrizable": parametrizable,
-        "formula_residual": topo.formula_residual(),
+        **topology,
     }
     json.dump(out, sys.stdout, indent=2, sort_keys=True)
     print()

@@ -10,7 +10,6 @@ lie exactly on the input triangulation.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,11 +37,7 @@ class UVLocator:
     box on each axis, so the triangle is listed in q's own cell.  A query
     therefore scans its own cell only; a query whose cell holds no
     triangle with margin >= -tol (a point outside the domain) scans every
-    non-degenerate triangle.  `locate` scans one point's cell in Python
-    floats with the same expressions as `locate_many`, over its
-    candidates' rows of `_coef`, and clips and normalises the winner's
-    weights as `locate_many` does (a clipped -0.0 is +0.0), so both give
-    the same answer bit for bit.
+    non-degenerate triangle.
     """
 
     BLOCK = 1 << 12  # (query, triangle) pairs evaluated at once: bounds the temporaries
@@ -67,7 +62,6 @@ class UVLocator:
         self.cell = ext / ncell  # mean cell size
         cen = p.mean(axis=1)
         self._walls = np.sort(cen, axis=0)[np.arange(1, ncell) * m // ncell].T
-        self._wall_lists = self._walls.tolist()
         pad = (2.0 * self.tol + 1e-6) * ext  # the 1e-6 covers rounding in the margins
         clo = self._cell_ij(p.min(axis=1) - pad)
         chi = self._cell_ij(p.max(axis=1) + pad)
@@ -93,8 +87,8 @@ class UVLocator:
     @staticmethod
     def _weights(qx, qy, ax, ay, e1x, e1y, e2x, e2y, d):
         """Barycentric weights (w0, w1, w2) of points (qx, qy) in triangles
-        given by the columns of their rows of `_coef`: floats or
-        broadcasting arrays."""
+        given by the columns of their rows of `_coef`, all broadcasting
+        arrays."""
         rx = qx - ax
         ry = qy - ay
         w1 = (rx * e2y - ry * e2x) / d
@@ -164,22 +158,8 @@ class UVLocator:
 
     def locate(self, q, clamp=False):
         """(triangle id, barycentric weights) of one point; see locate_many."""
-        x, y = map(float, q)
-        c = bisect_right(self._wall_lists[0], x) * self.ncell + bisect_right(self._wall_lists[1], y)
-        lo, hi = self._cell_start[c:c + 2].tolist()
-        cand = self._cell_tris[lo:hi]
-        t, top = -1, -np.inf
-        for k, coef in zip(cand.tolist(), self._coef.take(cand, axis=0).tolist()):
-            weights = self._weights(x, y, *coef)
-            margin = min(weights)
-            if margin > top:  # the first maximum
-                t, top, w = k, margin, weights
-        if top < -self.tol:  # outside the domain: locate_many scans every non-degenerate triangle
-            t, w = self.locate_many(q, clamp)
-            return int(t[0]), w[0]
-        w0, w1, w2 = (v if v > 0.0 else 0.0 for v in w)  # np.clip's result, -0.0 included
-        s = (w0 + w1) + w2
-        return t, np.array([w0 / s, w1 / s, w2 / s])
+        t, w = self.locate_many(q, clamp)
+        return int(t[0]), w[0]
 
 
 class FaceMetric:
@@ -190,8 +170,7 @@ class FaceMetric:
     any batch, so `at` keeps the triangle of every point it has located
     and locates each point once.  A projection (`param.isometry`) has
     J^T J = I, so `tensors` is None and every point reads `uniform`,
-    I / h^2, without point location.  `locator` also serves smoothing and
-    `map_to_3d`.
+    I / h^2, without point location.  `locator` also serves `map_to_3d`.
     """
 
     def __init__(self, patch, param, h):
@@ -338,7 +317,10 @@ def mesh_patch_uv(
     # when the sweep reaches it: a flip changes the quads of the four
     # edges around it.
     # Smoothing moves vertices and stays serial.  Vertices past n_fixed
-    # are interior: no constrained edge is split.
+    # are interior: no constrained edge is split.  A smoothing target is
+    # not located, as a split's midpoint is not: `move_vertex`'s
+    # orientation test is the one guard on a move, and the one-to-one map
+    # puts every point of the domain on the input surface.
     counts = dict.fromkeys(("splits", "collapses", "flips", "moves"), 0)
     done = 0
     converged = False
@@ -382,18 +364,12 @@ def mesh_patch_uv(
             nbrs = sorted(
                 {w for tid in mesh.v2t[v] for w in mesh.tris[tid] if w != v}
             )
-            if not nbrs:
-                continue
             # the sequential sum np.mean(axis=0) makes, in floats
             x, y = pts[nbrs[0]]
             for w in nbrs[1:]:
                 x += pts[w][0]
                 y += pts[w][1]
             target = (x / len(nbrs), y / len(nbrs))
-            try:
-                metric.locator.locate(target)
-            except MeshError:
-                continue
             if mesh.move_vertex(v, target):
                 counts["moves"] += 1
         converged = sum(counts.values()) == before

@@ -1,17 +1,18 @@
 """The UV adaptation loop as it was before its predicates were batched.
 
 `mesh_patch_uv` reads one metric tensor per edge for a whole phase,
-tests flips with one elementwise sign test, locates a smoothing target by
-scanning its cell in Python floats, clips by one spread from the
-directed loop edges and reads vertex boundary flags from a set; its
+tests flips with one elementwise sign test, moves a vertex to its
+smoothing target without locating the target, clips by one spread from
+the directed loop edges and reads vertex boundary flags from a set; its
 `PlanarMesh` keeps points as Python floats.  The copies below do the
 same work one item at a time: a `locate` call per edge midpoint (none
 on a projected face, whose one tensor is `FaceMetric.uniform`), a
-scalar sign test per quad, a `locate_many` call per smoothed vertex, a
-clip that scans every triangle until the kept set stops growing, a
-boundary test that scans the vertex's edges, and a planar mesh with
-numpy points.  The batched loop must make the same edits in the same
-order, so both give the same arrays.
+scalar sign test per quad, a `locate_many` domain test per smoothing
+target, a clip that scans every triangle until the kept set stops
+growing, a boundary test that scans the vertex's edges, and a planar
+mesh with numpy points.  The batched loop must make the same edits in
+the same order, so both give the same arrays; equal arrays also show
+that no smoothing target of these cases leaves the domain.
 
 `reference_build_brep` is the BREP builder as it was before it became
 one walk over the face loops: edge and vertex-star dicts, a chain from

@@ -46,6 +46,25 @@ def test_import_and_info_leave_scipy_unloaded(cube_file):
     assert json.loads(proc.stdout)["triangles"] == 12
 
 
+TOPOLOGY_KEYS = ("euler_characteristic", "genus", "holes", "parametrizable", "formula_residual")
+
+
+@pytest.mark.parametrize("triangles, flag", [
+    ([[0, 1, 2], [1, 0, 3], [0, 1, 4]], "manifold"),  # three triangles on edge 0-1
+    ([[0, 1, 2], [0, 1, 3]], "oriented"),  # both traverse edge 0 -> 1
+], ids=["non_manifold", "non_oriented"])
+def test_info_reports_a_mesh_it_cannot_count(tmp_path, capsys, triangles, flag):
+    path = tmp_path / "bad.obj"
+    v = np.array([[0, 0, 0], [1, 0, 0], [0.5, 1, 0], [0.5, -1, 0], [0.5, 0, 1]], dtype=float)
+    path.write_text("".join("v %r %r %r\n" % tuple(p) for p in v.tolist())
+                    + "".join("f %d %d %d\n" % tuple(np.add(t, 1)) for t in triangles))
+    assert main(["info", str(path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["triangles"] == len(triangles)
+    assert out[flag] is False and out["watertight"] is False
+    assert all(out[key] is None for key in TOPOLOGY_KEYS)
+
+
 def test_info_missing_file_gives_json_error(tmp_path, capsys):
     rc = main(["info", str(tmp_path / "absent.msh")])
     assert rc == 1

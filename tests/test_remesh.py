@@ -10,11 +10,12 @@ import pytest
 
 from fixtures import concave_hole_plate, cube, cylinder_shell, random_disk_fixture, sphere, torus
 from scalar_reference import reference_mesh_patch_uv, scalar_flip_wanted
+from test_acceptance import PIPELINE_FIXTURES
 from test_sweep import PLACEMENTS, case_mesh
 
 from atlasmesh import pipeline, remesh
 from atlasmesh.cli import main
-from atlasmesh.io import write_mesh
+from atlasmesh.io import load_surface, write_mesh
 from atlasmesh.mesh import MeshError, Triangulation, signed_uv_areas, validate
 from atlasmesh.param import ParamOptions, parametrize
 from atlasmesh.patch import Patch
@@ -40,6 +41,7 @@ from atlasmesh.verify import build_square_mesh
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import models  # noqa: E402
+import run  # noqa: E402  (bench/run.py: WORKLOADS)
 
 
 def test_size_field_validation(monkeypatch):
@@ -447,38 +449,6 @@ def test_locate_next_to_a_degenerate_triangle():
             assert (tm[0], bm[0].tolist()) == (want[0], want[1].tolist()), q
 
 
-def _same_answer(loc, q, clamp):
-    """locate(q) is locate_many([q]): the same triangle and the same weight
-    bits, so -0.0 and 0.0 differ; or both raise."""
-    try:
-        tm, bm = loc.locate_many([q], clamp)
-    except MeshError:
-        with pytest.raises(MeshError):
-            loc.locate(q, clamp)
-        return False
-    t, b = loc.locate(q, clamp)
-    assert t == tm[0], q
-    assert np.array_equal(b.view(np.int64), bm[0].view(np.int64)), q
-    return True
-
-
-def test_locate_equals_locate_many_bit_for_bit(uv_faces):
-    for k, (name, patch, param) in enumerate(uv_faces):
-        loc = UVLocator(param.uv, patch.tri.triangles)
-        inside, outside = _queries(loc.uv, loc.tris, k)
-        on_walls, on_edges = _walls_and_edges(loc, k)
-        assert all([_same_answer(loc, q, False) for q in np.concatenate([inside, loc.uv])])
-        for q in np.concatenate([on_walls, on_edges]):
-            _same_answer(loc, q, False)
-        for q in np.concatenate([outside, on_walls]):
-            _same_answer(loc, q, True)
-    uv = np.array([[0, 0], [1, 0], [2, 0], [1, 1], [1, -1], [3, 1]], dtype=float)
-    loc = UVLocator(uv, [[0, 1, 3], [1, 2, 3], [0, 1, 2], [0, 4, 2], [2, 5, 3]])
-    for q in DEGENERATE_QUERIES:
-        for clamp in (False, True):
-            _same_answer(loc, q, clamp)
-
-
 @pytest.mark.parametrize("build, h", [(lambda: torus(nu=12, nv=6), 0.6), (cylinder_shell, 0.5)],
                          ids=["torus12x6", "tube"])
 def test_a_face_metric_locates_each_point_once(build, h, monkeypatch):
@@ -701,6 +671,46 @@ def test_mesh_patch_uv_equals_the_serial_reference(build, h):
         assert (res.passes, res.converged) == (passes, converged), face
         got = {key: getattr(res, key) for key in counts}
         assert got == counts, face
+
+
+def _bench_models():
+    """(name, (path -> input mesh), h) of each seed-1 benchmark model, loaded
+    from the file the benchmark writes."""
+    out = []
+    for workload, (specs, _) in sorted(run.WORKLOADS.items()):
+        for i, (gen, params, fmt, h) in enumerate(specs):
+            def build(path, kind=(gen, params, fmt), i=i):
+                path = path / f"model.{kind[2]}"
+                models.build(kind, 1, i, path)
+                return load_surface(path)
+            out.append((f"{workload}-{gen}", build, h))
+    return out
+
+
+DOMAIN_CASES = [
+    (name, lambda path, build=build: build(), h) for name, build, h in PIPELINE_FIXTURES
+] + [
+    (f"disk{seed}", lambda path, seed=seed: random_disk_fixture(seed), 0.15) for seed in range(4)
+] + _bench_models()
+
+
+@pytest.mark.parametrize("build,h", [c[1:] for c in DOMAIN_CASES], ids=[c[0] for c in DOMAIN_CASES])
+def test_interior_vertices_lie_in_their_face_domain(build, h, tmp_path, monkeypatch):
+    # smoothing moves a vertex without locating its target: the parametric
+    # domain must still hold every interior output vertex, unclamped
+    faces = []
+    map_to_3d = pipeline.map_to_3d
+
+    def record(result, locator, *args):
+        faces.append((result, locator))
+        return map_to_3d(result, locator, *args)
+
+    monkeypatch.setattr(pipeline, "map_to_3d", record)
+    remesh_model(build(tmp_path), PipelineOptions(size=h))
+    inner = [(res.uv_points[res.sample_ids < 0], loc) for res, loc in faces]
+    assert sum(len(q) for q, _ in inner) > 0
+    for q, loc in inner:
+        loc.locate_many(q, clamp=False)
 
 
 # Sweep cases whose UV loops Qhull triangulates with slivers over nearly

@@ -24,7 +24,6 @@ TRACED = [
     "remesh.mesh_patch_uv",
     "remesh.map_to_3d",
     "remesh.stitch",
-    "remesh.locate",
     "pipeline.map.mesh_face",
 ]
 
