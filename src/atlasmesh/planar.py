@@ -184,7 +184,7 @@ class PlanarMesh:
                 return False
             a, b = b, a
         tris, e2t, pts = self.tris, self.e2t, self.points
-        ring = list(self.v2t[a])  # _remove_tri shrinks the set
+        ring = sorted(self.v2t[a])  # ascending ids; _remove_tri shrinks the set
         new = []
         for tid in ring:
             x, y, z = tris[tid]

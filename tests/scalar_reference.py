@@ -200,7 +200,7 @@ class ReferencePlanarMesh:
             a, b = b, a
         if self.is_boundary_vertex(a):
             return False
-        ring = list(self.v2t[a])
+        ring = sorted(self.v2t[a])
         pb = self.points[b]
         for tid in ring:
             tri = self.tris[tid]
