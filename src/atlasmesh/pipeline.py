@@ -113,6 +113,10 @@ def parametrize(patch: Patch, opt: ParamOptions, flat: Parametrization | None):
     return disk_map(patch, opt) if flat is None else flat
 
 
+REMESH_FACE_KEYS = ("passes", "converged", "best_pass", "min_angle_p5",
+                    "splits", "collapses", "flips", "moves")
+
+
 def _run_parallel(fn, items, threads):
     """[fn(it) for it in items], in order.  `threads` has no effect: the
     interpreter lock held the remesh, so a pool only added cost.  The
@@ -227,12 +231,7 @@ def remesh_model(model: Triangulation, opt: PipelineOptions | None = None):
             "output_vertices": out.n_vertices,
             "output_boundary_loops": out_report.boundary_loop_count,
             "output_watertight": out_report.watertight,
-            "remesh_faces": [
-                {"passes": res.passes, "converged": res.converged,
-                 "splits": res.splits, "collapses": res.collapses,
-                 "flips": res.flips, "moves": res.moves}
-                for res in faces
-            ],
+            "remesh_faces": [{k: getattr(res, k) for k in REMESH_FACE_KEYS} for res in faces],
             "total_seconds": time.perf_counter() - t0,
         }
     )

@@ -10,9 +10,11 @@ on a projected face, whose one tensor is `FaceMetric.uniform`), a
 scalar sign test per quad, a `locate_many` domain test per smoothing
 target, a clip that scans every triangle until the kept set stops
 growing, a boundary test that scans the vertex's edges, and a planar
-mesh with numpy points.  The batched loop must make the same edits in
-the same order, so both give the same arrays; equal arrays also show
-that no smoothing target of these cases leaves the domain.
+mesh with numpy points.  Each pass's score is one `locate` per triangle
+centroid, a scalar cosine per corner and `np.percentile`.  The batched
+loop must make the same edits in the same order and return the same
+pass, so both give the same arrays; equal arrays also show that no
+smoothing target of these cases leaves the domain.
 
 `reference_build_brep` is the BREP builder as it was before it became
 one walk over the face loops: edge and vertex-star dicts, a chain from
@@ -26,7 +28,7 @@ from atlasmesh import planar
 from atlasmesh.atlas import BRep, Curve, Face
 from atlasmesh.mesh import MeshError, signed_uv_areas
 from atlasmesh.planar import _orient
-from atlasmesh.remesh import METRIC_LONG, METRIC_SHORT, FaceMetric
+from atlasmesh.remesh import METRIC_LONG, METRIC_SHORT, PATIENCE, FaceMetric
 
 
 def scalar_flip_wanted(M, p):
@@ -300,8 +302,32 @@ def edge_lengths(metric, P, Q):
     return np.asarray(out)
 
 
+def largest_cosine(metric, corners):
+    """The cosine of one triangle's smallest angle under the tensor at its
+    centroid: the uniform tensor, or one `locate`."""
+    a, b, c = corners
+    M = metric.uniform
+    if M is None:
+        M = metric.tensors[metric.locator.locate((a + b + c) / 3.0, clamp=True)[0]]
+    m00, m01, m10, m11 = M.ravel().tolist()
+    edges = [(float(x), float(y)) for x, y in (b - a, c - b, a - c)]
+    cosines = []
+    for (px, py), (x, y) in zip(edges[-1:] + edges[:-1], edges):  # edges k - 1, k
+        mx, my = x * m00 + y * m10, x * m01 + y * m11
+        qx, qy = px * m00 + py * m10, px * m01 + py * m11
+        cosines.append(-(mx * px + my * py) / np.sqrt((mx * x + my * y) * (qx * px + qy * py)))
+    return min(max(cosines), 1.0)
+
+
+def reference_score(metric, mesh):
+    """The 5th percentile of the live triangles' smallest metric angles, in degrees."""
+    cos = [largest_cosine(metric, [mesh.points[v] for v in t]) for t in mesh.tris if t is not None]
+    return float(np.percentile(np.degrees(np.arccos(np.array(cos))), 5))
+
+
 def reference_mesh_patch_uv(patch, param, loops, h, passes=10):
-    """(uv points, triangles, sample ids, passes, converged, accepted edits)."""
+    """(uv points, triangles, sample ids, passes, converged, accepted
+    edits, best pass, its score) of the best pass."""
     if not param.injective:
         raise MeshError("cannot remesh a non-injective parametrization")
     metric = FaceMetric(patch, param, h)
@@ -323,11 +349,10 @@ def reference_mesh_patch_uv(patch, param, loops, h, passes=10):
         return pts[e[:, 0]], pts[e[:, 1]]
 
     counts = dict.fromkeys(("splits", "collapses", "flips", "moves"), 0)
-    done = 0
-    converged = False
-    while done < passes and not converged:
+    done = stale = best_pass = 0
+    best_score = -np.inf
+    while done < passes and stale < PATIENCE:
         done += 1
-        changed = False
         edges = mesh.edges()
         lens = sorted(zip(edge_lengths(metric, *ends(edges)).tolist(), edges),
                       key=lambda x: (-x[0], x[1]))
@@ -335,7 +360,6 @@ def reference_mesh_patch_uv(patch, param, loops, h, passes=10):
             if ln <= METRIC_LONG or e in mesh.constrained:
                 continue
             if e in mesh.e2t and mesh.split_edge(e) is not None:
-                changed = True
                 counts["splits"] += 1
         edges = [
             e for e in sorted(mesh.edges())
@@ -344,7 +368,6 @@ def reference_mesh_patch_uv(patch, param, loops, h, passes=10):
         short = edge_lengths(metric, *ends(edges)) < METRIC_SHORT
         for e, is_short in zip(edges, short):
             if is_short and e in mesh.e2t and mesh.collapse(e):
-                changed = True
                 counts["collapses"] += 1
         edges = [e for e in sorted(mesh.edges()) if e not in mesh.constrained]
         for e, M in [(e, edge_tensor(metric, *(mesh.points[v] for v in e))) for e in edges]:
@@ -354,7 +377,6 @@ def reference_mesh_patch_uv(patch, param, loops, h, passes=10):
             opp = [next(v for v in mesh.tris[t] if v not in e) for t in tids]
             quad = np.asarray([mesh.points[v] for v in (*e, *opp)])
             if scalar_flip_wanted(M, quad) and mesh.flip(e):
-                changed = True
                 counts["flips"] += 1
         for v in range(n_fixed, len(mesh.points)):
             if not mesh.v2t[v] or mesh.is_boundary_vertex(v):
@@ -368,15 +390,19 @@ def reference_mesh_patch_uv(patch, param, loops, h, passes=10):
             except MeshError:
                 continue
             if mesh.move_vertex(v, target):
-                changed = True
                 counts["moves"] += 1
-        converged = not changed
+        score = reference_score(metric, mesh)
+        stale += 1
+        if score > best_score:
+            best_score, best_pass, stale = score, done, 0
+            best_points, best_tris = list(mesh.points), list(mesh.tris)
 
+    mesh.points, mesh.tris = best_points, best_tris
     pts, tris, used = mesh.compact()
     if (signed_uv_areas(tris, pts) <= 0.0).any():
         raise MeshError("remesher produced an inverted UV triangle")
     vertex_ids = np.concatenate([ids, np.full(len(mesh.points) - n_fixed, -1)])
-    return pts, tris, vertex_ids[used], done, converged, counts
+    return pts, tris, vertex_ids[used], done, stale >= PATIENCE, counts, best_pass, best_score
 
 
 # -- the BREP chained from edge dicts ------------------------------------------

@@ -29,12 +29,14 @@ from atlasmesh.pipeline import (
 )
 from atlasmesh.quality import metric_tensor, triangle_jacobian
 from atlasmesh.remesh import (
+    PATIENCE,
     FaceMeshResult,
     FaceMetric,
     UVLocator,
     discretize_curve,
     flip_wanted,
     mesh_patch_uv,
+    percentile5,
     stitch,
 )
 from atlasmesh.verify import build_square_mesh
@@ -471,7 +473,8 @@ def test_a_face_metric_locates_each_point_once(build, h, monkeypatch):
     monkeypatch.setattr(UVLocator, "locate_many", counting_locate_many)
     _, summary, _ = remesh_model(build(), PipelineOptions(size=h))
     assert min(f["passes"] for f in summary["remesh_faces"]) >= 3
-    # every pass asks again for the midpoints of the edges it kept
+    # every pass asks again for the midpoints of the edges it kept; the
+    # score's centroids are located outside `at`
     assert 0 < sum(map(len, located.values())) < asked[0]
 
 
@@ -628,11 +631,21 @@ def test_each_edge_is_measured_once_per_pass(monkeypatch):
             passes.append([])
         return at(self, X)
 
+    scores = []  # the score locates centroids itself, not through `at`
+
+    def scoring(self, P):
+        scores.append(len(passes))
+        return min_angles(self, P)
+
+    min_angles = FaceMetric.min_angles
     monkeypatch.setattr(FaceMetric, "edge_lengths", recording_lengths)
     monkeypatch.setattr(FaceMetric, "at", pass_ends)
+    monkeypatch.setattr(FaceMetric, "min_angles", scoring)
     _, summary, _ = remesh_model(torus(nu=12, nv=6), PipelineOptions(size=0.6))
     calls = passes[:-1]
     assert len(calls) == sum(f["passes"] for f in summary["remesh_faces"])
+    # one score per pass, after its flip phase
+    assert scores == list(range(2, len(passes) + 1))
     assert all(1 <= len(c) <= 2 for c in calls)
     assert sum(len(c) == 2 for c in calls) > 0  # collapses measured the edges splits made
     for c in calls:
@@ -659,7 +672,8 @@ def test_mesh_patch_uv_equals_the_serial_reference(build, h):
     for face in range(len(atlas.brep.faces)):
         args = (atlas.patches[face], atlas.params[face], face_sample_loops(atlas, face, curves), h)
         try:
-            pts, tris, ids, passes, converged, counts = reference_mesh_patch_uv(*args)
+            pts, tris, ids, passes, converged, counts, best_pass, score = (
+                reference_mesh_patch_uv(*args))
         except MeshError as exc:
             with pytest.raises(MeshError, match=str(exc)):
                 mesh_patch_uv(*args)
@@ -669,8 +683,44 @@ def test_mesh_patch_uv_equals_the_serial_reference(build, h):
         assert np.array_equal(res.triangles, tris), face
         assert np.array_equal(res.sample_ids, ids), face
         assert (res.passes, res.converged) == (passes, converged), face
+        assert (res.best_pass, res.min_angle_p5) == (best_pass, score), face
         got = {key: getattr(res, key) for key in counts}
         assert got == counts, face
+
+
+@pytest.mark.parametrize("build,h", [c[1:] for c in PIPELINE_FIXTURES],
+                         ids=[c[0] for c in PIPELINE_FIXTURES])
+def test_each_face_returns_its_best_pass(build, h, monkeypatch):
+    atlas = build_atlas(build(), PipelineOptions(size=h))
+    _, curves = boundary_samples(atlas, h)
+    scores, min_angles = [], FaceMetric.min_angles
+
+    def scoring(self, P):
+        angles = min_angles(self, P)
+        scores.append(percentile5(angles))
+        return angles
+
+    for face in range(len(atlas.brep.faces)):
+        patch, param = atlas.patches[face], atlas.params[face]
+        args = (patch, param, face_sample_loops(atlas, face, curves), h)
+        scores.clear()
+        with monkeypatch.context() as m:
+            m.setattr(FaceMetric, "min_angles", scoring)
+            res, _ = mesh_patch_uv(*args)
+        assert len(scores) == res.passes, face
+        assert res.min_angle_p5 == max(scores), face
+        assert res.best_pass == scores.index(max(scores)) + 1, face
+        assert res.passes - res.best_pass <= PATIENCE, face
+        assert res.converged == (res.passes - res.best_pass == PATIENCE)
+        # the face returned is the mesh after its best pass, with that score
+        cut, _ = mesh_patch_uv(*args, passes=res.best_pass)
+        assert (cut.passes, cut.best_pass, cut.min_angle_p5) == (res.best_pass,) * 2 + (
+            res.min_angle_p5,)
+        for key in ("uv_points", "triangles", "sample_ids"):
+            assert np.array_equal(getattr(cut, key), getattr(res, key)), (face, key)
+        angles = FaceMetric(patch, param, h).min_angles(res.uv_points[res.triangles])
+        assert percentile5(angles) == res.min_angle_p5
+        assert percentile5(angles) == np.percentile(angles, 5)
 
 
 def _bench_models():
@@ -810,9 +860,12 @@ def test_summary_reports_adaptation_per_face():
     faces = summary["remesh_faces"]
     assert len(faces) == len(atlas.brep.faces)
     for face in faces:
-        assert 1 <= face["passes"] <= 10
+        assert 1 <= face["best_pass"] <= face["passes"] <= 10
         assert isinstance(face["converged"], bool)
-        assert face["converged"] or face["passes"] == 10  # stops early only when done
+        assert face["converged"] or face["passes"] == 10  # stops early only by the rule
+        assert face["passes"] - face["best_pass"] <= PATIENCE
+        assert 0.0 < face["min_angle_p5"] <= 60.0
+    assert any(face["passes"] < 10 for face in faces)
 
 
 def test_one_locator_per_face(monkeypatch):
