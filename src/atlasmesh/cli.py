@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import logging
 import os
@@ -41,6 +42,7 @@ def _add_atlas_flags(p):
     p.add_argument("--refine-rounds", type=int, default=d.refine_rounds)
 
 
+@functools.cache  # parsing leaves the parser as it was, so one serves every call
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="atlasmesh",

@@ -207,6 +207,15 @@ def test_convergence_solves_each_distinct_resolution_once_coarse_to_fine(tmp_pat
     assert 1.7 < slopes["l2_slope"] < 2.3
 
 
+def test_one_parser_serves_every_call():
+    assert build_parser() is build_parser()
+    argv = ["remesh", "in.obj", "--size", "0.5", "-o", "out.msh"]
+    first = vars(build_parser().parse_args(argv))
+    info = vars(build_parser().parse_args(["info", "in.obj"]))
+    assert "size" not in info and info["command"] == "info"
+    assert vars(build_parser().parse_args(argv)) == first
+
+
 def test_readme_names_every_flag():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
