@@ -1,9 +1,12 @@
 """Print one line of output hashes per case, to compare two source trees.
 
 Each case runs `atlasmesh remesh` in process, through `cli.main`.  Its line
-names the case and gives the sha1 of the `.msh` bytes and the sha1 of the
-summary JSON without its clocks (`atlas_seconds`, `total_seconds`); a run
-that fails gives the sha1 of its error message instead.  The cases:
+names the case and gives the sha1 of the `.msh` bytes, the sha1 of the
+summary JSON without its clocks (`atlas_seconds`, `total_seconds`), the
+output's triangle count and the 5th percentile of its triangles' minimum
+angles in degrees, read from the `.msh` by `bench/check.py` as the
+benchmark reads `min_angle_deg`; a run that fails gives the sha1 of its
+error message instead.  The cases:
 
 - every case of `tests/test_sweep.py`, written as OBJ;
 - the models of both `bench/run.py` workloads at seeds 1-12, built as the
@@ -28,9 +31,12 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 HERE = Path(__file__).resolve().parent
 sys.path[:0] = [str(HERE), str(HERE.parent / "bench")]
 
+import check  # noqa: E402
 import models  # noqa: E402
 import run  # noqa: E402  (bench/run.py: WORKLOADS)
 import test_sweep  # noqa: E402
@@ -46,7 +52,8 @@ def sha1(data):
 
 
 def remesh(path, out, args):
-    """(sha1 of the .msh, sha1 of the summary without clocks), or the error's."""
+    """The case's output fields: the two sha1s, the triangle count and the
+    5th-percentile minimum angle, or "error" and the error's sha1."""
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         rc = cli.main(["remesh", str(path), "-o", str(out), *args])
@@ -55,7 +62,10 @@ def remesh(path, out, args):
     summary = json.loads(Path(str(out) + ".json").read_text())
     for key in DROP:
         summary.pop(key, None)
-    return sha1(out.read_bytes()), sha1(json.dumps(summary, sort_keys=True).encode())
+    verts, tris = check.parse_msh(out)
+    angle = np.percentile(check.triangle_min_angles(verts, tris), 5)
+    return (sha1(out.read_bytes()), sha1(json.dumps(summary, sort_keys=True).encode()),
+            f"tri={len(tris)}", f"p5={angle:.4f}")
 
 
 def cases(work):
@@ -78,8 +88,7 @@ def main():
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         for label, path, args in cases(work):
-            msh, summary = remesh(path, work / "out.msh", args)
-            print(f"{label} {msh} {summary}", flush=True)
+            print(label, *remesh(path, work / "out.msh", args), flush=True)
     return 0
 
 
