@@ -171,7 +171,8 @@ class FaceMetric:
     any batch, so `at` keeps the triangle of every point it has located
     and locates each point once.  A projection (`param.isometry`) has
     J^T J = I, so `tensors` is None and every point reads `uniform`,
-    I / h^2, without point location.  `locator` also serves `map_to_3d`.
+    I / h^2, without point location.  `locator` also serves `min_angles`
+    and `map_to_3d`.
     """
 
     def __init__(self, patch, param, h):
