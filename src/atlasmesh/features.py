@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .mesh import Adjacency, MeshError, Triangulation, first_occurrence
+from .mesh import Adjacency, MeshError, Triangulation, first_occurrence, stable_order
 
 
 def dihedral_angles(tri: Triangulation, adj: Adjacency) -> np.ndarray:
@@ -52,7 +52,7 @@ def feature_corners(
     # (vertex, other end) of each feature edge at such a vertex, by vertex
     ends = np.concatenate([e, e[:, ::-1]])
     ends = ends[two[ends[:, 0]]]
-    ends = ends[np.argsort(ends[:, 0], kind="stable")]
+    ends = ends[stable_order(ends[:, 0])]
     v, u, w = ends[0::2, 0], ends[0::2, 1], ends[1::2, 1]
     X = tri.vertices
     d1, d2 = X[v] - X[u], X[w] - X[v]

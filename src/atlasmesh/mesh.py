@@ -100,6 +100,17 @@ def first_occurrence(keys):
     return np.sort(first), index
 
 
+def stable_order(keys):
+    """np.argsort(keys, kind="stable") for integer keys in [0, 2**32).
+
+    Two stable 16-bit passes, low half then high half, each a radix sort
+    in numpy: linear time where the int64 stable sort is a merge sort.
+    """
+    keys = np.asarray(keys)
+    low = np.argsort((keys & 0xFFFF).astype(np.uint16), kind="stable")
+    return low[np.argsort((keys[low] >> 16).astype(np.uint16), kind="stable")]
+
+
 def signed_uv_areas(triangles, uv):
     """(m,) signed areas of 2D triangles, positive when counter-clockwise."""
     t = np.asarray(triangles, dtype=np.int64)
@@ -143,7 +154,7 @@ class Adjacency:
         )
         self.edges = np.column_stack([keys // n, keys % n])
         # half-edges grouped by edge, ascending (so by triangle id) in a group
-        order = np.argsort(self.half_edge, kind="stable")
+        order = stable_order(self.half_edge)
         first = np.cumsum(self.edge_count) - self.edge_count
         two = self.edge_count >= 2
         self.edge_tri = np.full((len(keys), 2), -1, dtype=np.int64)
@@ -202,11 +213,12 @@ def boundary_loops(tri: Triangulation, adj: Adjacency):
     Each directed boundary edge is oriented as traversed by its unique
     triangle, so loops wind consistently with the surface (surface to the
     left).  A loop starts at the smallest unused directed boundary edge.
-    The successor of a directed edge (a, b) is found by rotating around b
-    through the triangle fan, each step crossing the edge from b to the
-    vertex that is neither b nor the previous one; this stays correct at
-    pinch vertices shared by several loops, and needs no consistent
-    orientation of the fan.
+    On an oriented patch, the successor of a directed edge (a, b) is the
+    one boundary edge leaving b, where b has exactly one.  Elsewhere (at
+    pinch vertices shared by several loops, and on unoriented input) it
+    is found by rotating around b through the triangle fan, each step
+    crossing the edge from b to the vertex that is neither b nor the
+    previous one; this needs no consistent orientation of the fan.
     """
     tris, he, count = tri.triangles, adj.half_edge, adj.edge_count
 
@@ -231,31 +243,38 @@ def boundary_loops(tri: Triangulation, adj: Adjacency):
             t = t0 if t1 == t else t1
             prev = c
 
-    bnd = np.nonzero(count[he] == 1)[0]
+    bnd = np.flatnonzero(count[he] == 1)  # boundary half-edges, by position
     src = tris.ravel()[bnd]
     dst = tris[:, [1, 2, 0]].ravel()[bnd]
-    starts = bnd[np.lexsort((dst, src))].tolist()
-    unused = set(starts)
+    succ = np.full(len(bnd), -1)
+    if adj.is_oriented():
+        leaving = np.full(tri.n_vertices, -1)
+        leaving[src] = np.arange(len(bnd))
+        one = np.bincount(src, minlength=tri.n_vertices)[dst] == 1
+        succ[one] = leaving[dst[one]]
+    succ, head = succ.tolist(), src.tolist()
+    used = [False] * len(bnd)
     loops = []
-    i = 0
-    while unused:
-        while starts[i] not in unused:
-            i += 1
-        start = starts[i]
-        first = ends(start)
-        loop = [first[0]]
-        cur = start
+    for start in np.lexsort((dst, src)).tolist():
+        if used[start]:
+            continue
+        loop, cur = [], start
         while True:
-            unused.discard(cur)
-            nxt, h = successor(cur)
-            if nxt == first:
+            used[cur] = True
+            loop.append(head[cur])
+            nxt = succ[cur]
+            if nxt < 0:
+                pair, h = successor(int(bnd[cur]))
+                # (b, c) must be a boundary edge that its triangle
+                # traverses from b to c
+                if count[he[h]] != 1 or ends(h) != pair:
+                    raise MeshError("open boundary chain: boundary edges do not close")
+                nxt = int(np.searchsorted(bnd, h))
+            if nxt == start:
                 break
-            # (b, c) must be an unused boundary edge that its triangle
-            # traverses from b to c
-            if count[he[h]] != 1 or ends(h) != nxt or h not in unused:
+            if used[nxt]:
                 raise MeshError("open boundary chain: boundary edges do not close")
-            loop.append(nxt[0])
-            cur = h
+            cur = nxt
         loops.append(loop)
     return loops
 

@@ -27,7 +27,7 @@ class Patch:
     def __init__(self, model: Triangulation, triangle_ids):
         self.triangle_ids = np.sort(np.asarray(triangle_ids, dtype=np.int64))
         tris = model.triangles[self.triangle_ids]
-        used = np.unique(tris)
+        used = np.flatnonzero(np.bincount(tris.ravel(), minlength=model.n_vertices))
         remap = np.full(model.n_vertices, -1, dtype=np.int64)
         remap[used] = np.arange(len(used))
         self.global_vertices = used
@@ -67,4 +67,4 @@ class Patch:
 
     def local_index(self):
         """Global vertex id -> local index dict."""
-        return {int(g): i for i, g in enumerate(self.global_vertices)}
+        return dict(zip(self.global_vertices.tolist(), range(len(self.global_vertices))))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import MeshError, Triangulation, first_occurrence, signed_uv_areas
+from .mesh import MeshError, Triangulation, first_occurrence, signed_uv_areas, stable_order
 from .planar import clip_to_loops, constrained_triangulation
 from .quality import metric_tensor, triangle_jacobian
 
@@ -47,32 +47,32 @@ class UVLocator:
     def __init__(self, uv, triangles):
         self.uv = np.asarray(uv, dtype=np.float64)
         self.tris = np.asarray(triangles, dtype=np.int64)
-        p = self.uv[self.tris]
-        e1 = p[:, 1] - p[:, 0]
-        e2 = p[:, 2] - p[:, 0]
+        p0, p1, p2 = self.uv[self.tris.T]  # (m, 2) corner columns
+        e1 = p1 - p0
+        e2 = p2 - p0
         d = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
         self._degenerate = d == 0.0
         self._valid = np.flatnonzero(~self._degenerate)
         # (m, 7) rows: corner 0 (x, y), edge 1 (x, y), edge 2 (x, y), determinant
-        self._coef = np.column_stack([p[:, 0], e1, e2, np.where(self._degenerate, 1.0, d)])
+        self._coef = np.column_stack([p0, e1, e2, np.where(self._degenerate, 1.0, d)])
         m = len(self.tris)
         lo = self.uv.min(axis=0)
         ext = np.maximum(self.uv.max(axis=0) - lo, 1e-30)
         ncell = max(1, int(np.sqrt(m)))
         self.ncell = ncell
         self.cell = ext / ncell  # mean cell size
-        cen = p.mean(axis=1)
+        cen = ((p0 + p1) + p2) / 3  # the bits of mean(axis=1) over the corners
         self._walls = np.sort(cen, axis=0)[np.arange(1, ncell) * m // ncell].T
         pad = (2.0 * self.tol + 1e-6) * ext  # the 1e-6 covers rounding in the margins
-        clo = self._cell_ij(p.min(axis=1) - pad)
-        chi = self._cell_ij(p.max(axis=1) + pad)
+        clo = self._cell_ij(np.minimum(np.minimum(p0, p1), p2) - pad)
+        chi = self._cell_ij(np.maximum(np.maximum(p0, p1), p2) + pad)
         span = chi - clo + 1
         # a degenerate triangle's margin is -inf: it is listed in no cell
         count = np.where(self._degenerate, 0, span[:, 0] * span[:, 1])
         tri = np.repeat(np.arange(m), count)
         k = np.arange(len(tri)) - np.repeat(np.cumsum(count) - count, count)
         cell = (clo[tri, 0] + k // span[tri, 1]) * ncell + clo[tri, 1] + k % span[tri, 1]
-        order = np.argsort(cell, kind="stable")  # ascending triangle ids per cell
+        order = stable_order(cell)  # ascending triangle ids per cell
         self._cell_tris = tri[order]
         self._cell_start = np.concatenate(
             [[0], np.cumsum(np.bincount(cell, minlength=ncell * ncell))]

@@ -7,6 +7,10 @@ loops, labels, angles and coordinates bit for bit, the refined triangles
 as a set of rows, and the same errors.
 """
 
+import functools
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -23,7 +27,11 @@ from atlasmesh.features import detect_feature_edges, dihedral_angles, segment_pa
 from atlasmesh.io import _weld
 from atlasmesh.mesh import Adjacency, MeshError, Triangulation, boundary_loops
 from atlasmesh.patch import Patch
+from atlasmesh.pipeline import PipelineOptions, build_atlas
 from atlasmesh.refine import default_threshold, longest_edge_bisection
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import models  # noqa: E402
 
 # -- reference: the dict code ------------------------------------------------
 
@@ -294,6 +302,21 @@ def _pinched_fans():
     return Triangulation(v, [[0, 1, 2], [0, 2, 3], [0, 4, 5], [0, 5, 6]])
 
 
+@functools.cache
+def _bench_patches(name, **params):
+    """The atlas patches of a benchmark model: refined where curved."""
+    mesh = Triangulation(*models.GENERATORS[name](**params))
+    return build_atlas(mesh, PipelineOptions()).patches
+
+
+BENCH_PATCHES = {
+    "frame": lambda: _bench_patches("square_frame", resolution=10),
+    "tube": lambda: _bench_patches("tube", radius=1.0, height=3.0, n=20),
+}
+PATCH_CASES = [(f"{name}-patch{k}", lambda get=get, k=k: get()[k].tri)
+               for name, get in BENCH_PATCHES.items() for k in range(len(get()))]
+
+
 def _bits(a):
     return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
 
@@ -309,8 +332,8 @@ def _outcome(fn, *args):
 
 
 @pytest.mark.parametrize(
-    "build", BUILDS + FLIPPED + [_pinched_fans],
-    ids=IDS + ["flipped-inner", "flipped-boundary", "pinch"],
+    "build", BUILDS + FLIPPED + [_pinched_fans] + [b for _, b in PATCH_CASES],
+    ids=IDS + ["flipped-inner", "flipped-boundary", "pinch"] + [n for n, _ in PATCH_CASES],
 )
 def test_adjacency_and_loops_equal_dict_code(build):
     mesh = build()

@@ -10,6 +10,7 @@ from atlasmesh.mesh import (
     boundary_loops,
     euler_check,
     first_occurrence,
+    stable_order,
     validate,
 )
 
@@ -172,3 +173,15 @@ def test_first_occurrence_equals_the_unique_formulation():
         assert np.array_equal(keys[first][index], keys), name
     first, index = first_occurrence(signed_zeros)
     assert first.tolist() == [0, 2] and index.tolist() == [0, 0, 1, 1, 0]
+
+
+@pytest.mark.parametrize("top", [1, 2**16 - 1, 2**16, 2**31])
+def test_stable_order_equals_the_stable_argsort(top):
+    # ties keep their input order: the low pass, then the high pass
+    rng = np.random.default_rng(top % 1000)
+    for n in (0, 1, 7, 5000):
+        keys = rng.integers(0, top + 1, n)
+        keys[rng.integers(0, max(n, 1), n // 3)] = top  # the maximum, tied
+        keys[: n // 4] = keys[n // 4 : 2 * (n // 4)]  # more ties, in runs
+        for k in (keys, keys.astype(np.uint32)):
+            assert np.array_equal(stable_order(k), np.argsort(k, kind="stable")), (top, n, k.dtype)

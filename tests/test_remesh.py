@@ -283,6 +283,50 @@ def test_locate_many_equals_point_locator(uv_faces, clamp):
         assert (t1, b1.tolist()) == (t_ref[0], b_ref[0].tolist())
 
 
+def _reference_grid(uv, tris):
+    """(walls, cell triangle lists, cell starts) of a `UVLocator` grid, built
+    with axis-1 reductions over the (m, 3, 2) corners and an int64 stable
+    argsort, as the locator once built them."""
+    p = uv[tris]
+    m = len(tris)
+    lo = uv.min(axis=0)
+    ext = np.maximum(uv.max(axis=0) - lo, 1e-30)
+    ncell = max(1, int(np.sqrt(m)))
+    walls = np.sort(p.mean(axis=1), axis=0)[np.arange(1, ncell) * m // ncell].T
+
+    def cell_ij(X):
+        return np.column_stack([np.searchsorted(walls[k], X[:, k], side="right") for k in (0, 1)])
+
+    pad = (2.0 * UVLocator.tol + 1e-6) * ext
+    clo, chi = cell_ij(p.min(axis=1) - pad), cell_ij(p.max(axis=1) + pad)
+    e1, e2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+    degenerate = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0] == 0.0
+    span = chi - clo + 1
+    count = np.where(degenerate, 0, span[:, 0] * span[:, 1])
+    tri = np.repeat(np.arange(m), count)
+    k = np.arange(len(tri)) - np.repeat(np.cumsum(count) - count, count)
+    cell = (clo[tri, 0] + k // span[tri, 1]) * ncell + clo[tri, 1] + k % span[tri, 1]
+    order = np.argsort(cell.astype(np.int64), kind="stable")
+    return walls, tri[order], np.concatenate(
+        [[0], np.cumsum(np.bincount(cell, minlength=ncell * ncell))])
+
+
+def test_locator_grid_equals_the_axis_reduction_build(uv_faces):
+    # column-wise corner bounds and centroids, and the two-pass stable sort
+    tube = Triangulation(*models.GENERATORS["tube"](radius=1.0, height=3.0, n=20))
+    atlas = build_atlas(tube, PipelineOptions(size=0.5))
+    faces = [(name, param.uv, patch.tri.triangles) for name, patch, param in uv_faces]
+    faces += [(f"tube{k}", param.uv, patch.tri.triangles)
+              for k, (patch, param) in enumerate(zip(atlas.patches, atlas.params))]
+    assert all(f["refine"]["splits"] > 0 for f in atlas.summary["faces"])
+    for name, uv, tris in faces:
+        loc = UVLocator(uv, tris)
+        walls, cell_tris, cell_start = _reference_grid(uv, tris)
+        assert np.array_equal(loc._walls, walls), name
+        assert np.array_equal(loc._cell_tris, cell_tris), name
+        assert np.array_equal(loc._cell_start, cell_start), name
+
+
 def test_locate_many_rejects_the_first_outside_point(uv_faces):
     for k, (name, patch, param) in enumerate(uv_faces):
         ref = PointLocator(param.uv, patch.tri.triangles)
