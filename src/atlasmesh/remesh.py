@@ -196,12 +196,14 @@ class FaceMetric:
 
     def edge_lengths(self, P, Q):
         """(n,) metric lengths of segments P[k] -> Q[k], each under the
-        tensor at its midpoint: the point a split of it inserts."""
+        tensor at its midpoint: the point a split of it inserts.  d^T M d
+        is summed as (d^T M) d, elementwise, so no fused multiply-add
+        rounds it."""
         P = np.asarray(P, dtype=np.float64).reshape(-1, 2)
         Q = np.asarray(Q, dtype=np.float64).reshape(-1, 2)
-        D = Q - P
-        M = self.at(0.5 * (P + Q))
-        return np.sqrt(np.maximum((D[:, None, :] @ M @ D[:, :, None])[:, 0, 0], 0.0))
+        x, y = (Q - P).T
+        m00, m01, m10, m11 = self.at(0.5 * (P + Q)).reshape(-1, 4).T
+        return np.sqrt(np.maximum((x * m00 + y * m10) * x + (x * m01 + y * m11) * y, 0.0))
 
     def min_angles(self, P):
         """(m,) smallest angles in degrees of triangles P (m, 3, 2) under the

@@ -294,11 +294,12 @@ def edge_tensor(metric, p, q):
 
 
 def edge_lengths(metric, P, Q):
-    """Metric lengths, one edge at a time."""
+    """Metric lengths, one edge at a time, each d^T M d summed as
+    (d^T M) d in Python floats."""
     out = []
     for p, q in zip(P, Q):
-        d = q - p
-        out.append(float(np.sqrt(max(d @ edge_tensor(metric, p, q) @ d, 0.0))))
+        (x, y), ((m00, m01), (m10, m11)) = (q - p).tolist(), edge_tensor(metric, p, q).tolist()
+        out.append(float(np.sqrt(max((x * m00 + y * m10) * x + (x * m01 + y * m11) * y, 0.0))))
     return np.asarray(out)
 
 

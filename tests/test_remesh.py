@@ -344,7 +344,7 @@ def test_locate_many_rejects_the_first_outside_point(uv_faces):
 
 
 def test_edge_lengths_equal_scalar_gauss_formula(uv_faces):
-    # one tensor per edge, at its midpoint
+    # one tensor per edge, at its midpoint, and no fused multiply-add
     for k, (name, patch, param) in enumerate(uv_faces):
         metric = FaceMetric(patch, param, 0.3)
         ref = PointLocator(param.uv, patch.tri.triangles)
@@ -353,9 +353,10 @@ def test_edge_lengths_equal_scalar_gauss_formula(uv_faces):
         Q = np.roll(P, 7, axis=0)
         want = []
         for p, q in zip(P, Q):
-            d = q - p
             M = metric.tensors[ref.locate(0.5 * (p + q), clamp=True)[0]]
-            want.append(float(np.sqrt(max(d @ M @ d, 0.0))))
+            (x, y), ((m00, m01), (m10, m11)) = (q - p).tolist(), M.tolist()
+            # d^T M d summed as (d^T M) d, in Python floats
+            want.append(float(np.sqrt(max((x * m00 + y * m10) * x + (x * m01 + y * m11) * y, 0.0))))
         assert np.array_equal(metric.edge_lengths(P, Q), want), name
 
 
