@@ -20,7 +20,8 @@ from .quality import metric_tensor, triangle_jacobian
 
 METRIC_LONG = 1.4
 METRIC_SHORT = 0.7
-PATIENCE = 2  # passes in a row without a better score that stop a face
+PATIENCE = 2  # passes in a row without a gain above SCORE_TOL that stop a face
+SCORE_TOL = 0.01  # degrees: a smaller gain is kept but does not reset the patience
 
 
 class UVLocator:
@@ -285,7 +286,7 @@ class FaceMeshResult:
     triangles: np.ndarray
     sample_ids: np.ndarray  # (n,) boundary-sample id of each vertex, -1 inside
     passes: int = 0  # adaptation passes run
-    converged: bool = False  # stopped by PATIENCE passes without a better score
+    converged: bool = False  # stopped by PATIENCE passes without a gain above SCORE_TOL
     best_pass: int = 0  # the pass returned: the first with the best score
     min_angle_p5: float = 0.0  # its score, in degrees
     # accepted adaptation edits, summed over the passes run
@@ -310,7 +311,8 @@ def mesh_patch_uv(
     The boundary is kept exactly; the interior is adapted so metric edge
     lengths at target size h approach 1, for at most `passes` passes, and
     the first pass of best score (5th-percentile minimum angle) is kept;
-    adaptation stops after PATIENCE passes in a row without a better score.
+    adaptation stops after PATIENCE passes in a row that beat the best
+    score by no more than SCORE_TOL.
     Returns the face mesh and the locator of the patch's parametric
     triangles, for `map_to_3d`.
     """
@@ -404,8 +406,10 @@ def mesh_patch_uv(
                 counts["moves"] += 1
         xy = np.asarray(pts)
         score = percentile5(metric.min_angles(xy[[t for t in mesh.tris if t is not None]]))
+        if score > best[0] + SCORE_TOL:  # a gain that resets the patience
+            stale = -1
         if score > best[0]:
-            best, stale = (score, done, list(pts), list(mesh.tris)), -1
+            best = (score, done, list(pts), list(mesh.tris))
         stale += 1
 
     score, best_pass, mesh.points, mesh.tris = best  # compact reads only these two

@@ -28,7 +28,7 @@ from atlasmesh import planar
 from atlasmesh.atlas import BRep, Curve, Face
 from atlasmesh.mesh import MeshError, signed_uv_areas
 from atlasmesh.planar import _orient
-from atlasmesh.remesh import METRIC_LONG, METRIC_SHORT, PATIENCE, FaceMetric
+from atlasmesh.remesh import METRIC_LONG, METRIC_SHORT, PATIENCE, SCORE_TOL, FaceMetric
 
 
 def scalar_flip_wanted(M, p):
@@ -394,8 +394,10 @@ def reference_mesh_patch_uv(patch, param, loops, h, passes=10):
                 counts["moves"] += 1
         score = reference_score(metric, mesh)
         stale += 1
+        if score > best_score + SCORE_TOL:  # any higher score is kept; this gain resets
+            stale = 0
         if score > best_score:
-            best_score, best_pass, stale = score, done, 0
+            best_score, best_pass = score, done
             best_points, best_tris = list(mesh.points), list(mesh.tris)
 
     mesh.points, mesh.tris = best_points, best_tris
