@@ -104,7 +104,7 @@ def stable_order(keys):
     """np.argsort(keys, kind="stable") for integer keys in [0, 2**32).
 
     Two stable 16-bit passes, low half then high half, each a radix sort
-    in numpy: linear time where the int64 stable sort is a merge sort.
+    in numpy: linear time, where the int64 stable sort is a timsort.
     """
     keys = np.asarray(keys)
     low = np.argsort((keys & 0xFFFF).astype(np.uint16), kind="stable")
@@ -267,12 +267,11 @@ def boundary_loops(tri: Triangulation, adj: Adjacency):
                 pair, h = successor(int(bnd[cur]))
                 # (b, c) must be a boundary edge that its triangle
                 # traverses from b to c
-                if count[he[h]] != 1 or ends(h) != pair:
-                    raise MeshError("open boundary chain: boundary edges do not close")
-                nxt = int(np.searchsorted(bnd, h))
+                if count[he[h]] == 1 and ends(h) == pair:
+                    nxt = int(np.searchsorted(bnd, h))
             if nxt == start:
                 break
-            if used[nxt]:
+            if nxt < 0 or used[nxt]:
                 raise MeshError("open boundary chain: boundary edges do not close")
             cur = nxt
         loops.append(loop)

@@ -27,7 +27,7 @@ class Patch:
     def __init__(self, model: Triangulation, triangle_ids):
         self.triangle_ids = np.sort(np.asarray(triangle_ids, dtype=np.int64))
         tris = model.triangles[self.triangle_ids]
-        used = np.flatnonzero(np.bincount(tris.ravel(), minlength=model.n_vertices))
+        used = np.flatnonzero(np.bincount(tris.ravel()))
         remap = np.full(model.n_vertices, -1, dtype=np.int64)
         remap[used] = np.arange(len(used))
         self.global_vertices = used
