@@ -12,7 +12,8 @@ direction `BENCHMARK.json` of the change root gives.  For each
 end-to-end metric it then says whether two rules hold: the change wins
 at least nine in ten pairs, and its median beats the parent's by more
 than the parent's interquartile range.  `--json` writes the summary and
-every run (result, wall time and log line) for a `BENCH_*.json` record.
+every run (result, wall time and log line) for a `BENCH_*.json` record;
+if a run gives no result, it writes the runs alone and exits 1.
 Nothing is written under either tree's `bench/`; `bench/run.py` keeps its
 own work files under `.bench_work/`.  The file name keeps pytest from
 collecting this script.
@@ -104,6 +105,8 @@ def main(argv=None):
     bad = [r for r in runs if r["result"] is None]
     if bad:
         print(f"{len(bad)} runs gave no result", file=sys.stderr)
+        if args.json:
+            args.json.write_text(json.dumps({"runs": runs}, indent=1))
         return 1
     summary = summarise(runs, args.pairs, better, ruled)
     for name, row in summary.items():
