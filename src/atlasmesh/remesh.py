@@ -168,12 +168,11 @@ class FaceMetric:
     """The metric J^T J / h^2 of a parametrized patch at target size h.
 
     Piecewise constant, one tensor per parametric triangle, read at a
-    point by locating it.  `locate_many` answers a point the same way in
-    any batch, so `at` keeps the triangle of every point it has located
-    and locates each point once.  A projection (`param.isometry`) has
-    J^T J = I, so `tensors` is None and every point reads `uniform`,
-    I / h^2, without point location.  `locator` also serves `min_angles`
-    and `map_to_3d`.
+    point by locating it; `locate_many` answers a point the same way in
+    any batch, so a point reads the same tensor in every call.  A
+    projection (`param.isometry`) has J^T J = I, so `tensors` is None and
+    every point reads `uniform`, I / h^2, without point location.
+    `locator` also serves `map_to_3d`.
     """
 
     def __init__(self, patch, param, h):
@@ -182,18 +181,13 @@ class FaceMetric:
         self.uniform = metric_tensor(np.eye(3, 2), h) if param.isometry else None
         self.tensors = None if param.isometry else metric_tensor(  # (m, 2, 2)
             triangle_jacobian(patch.tri.vertices[tris], param.uv[tris]), h)
-        self._located = {}  # UV point -> the triangle it was located in
 
     def at(self, X):
         """(n, 2, 2) metric tensors at (n, 2) points."""
         if self.uniform is not None:
             return np.broadcast_to(self.uniform, (np.size(X) // 2, 2, 2))
-        keys = list(map(tuple, np.asarray(X, dtype=np.float64).reshape(-1, 2).tolist()))
-        new = [x for x in keys if x not in self._located]
-        if new:
-            t, _ = self.locator.locate_many(np.array(new), clamp=True)
-            self._located.update(zip(new, t.tolist()))
-        return self.tensors[[self._located[x] for x in keys]]
+        t, _ = self.locator.locate_many(X, clamp=True)
+        return self.tensors[t]
 
     def edge_lengths(self, P, Q):
         """(n,) metric lengths of segments P[k] -> Q[k], each under the
@@ -208,12 +202,9 @@ class FaceMetric:
 
     def min_angles(self, P):
         """(m,) smallest angles in degrees of triangles P (m, 3, 2) under the
-        tensors at their centroids, located here: smoothing moves most of
-        them each pass.  Elementwise, so no fused multiply-add rounds it."""
-        m = self.uniform
-        if m is None:
-            m = self.tensors[self.locator.locate_many(P.mean(axis=1), clamp=True)[0]]
-        m00, m01, m10, m11 = m.reshape(-1, 4).T[:, :, None]
+        tensors at their centroids.  Elementwise, so no fused multiply-add
+        rounds it."""
+        m00, m01, m10, m11 = self.at(P.mean(axis=1)).reshape(-1, 4).T[:, :, None]
         x, y = (P[:, [1, 2, 0]] - P).transpose(2, 0, 1)  # edge k leaves corner k
         Mx, My = x * m00 + y * m10, x * m01 + y * m11  # rows of E^T M
         norm2, prev = Mx * x + My * y, [2, 0, 1]  # corner k: edges k and k - 1
@@ -338,17 +329,15 @@ def mesh_patch_uv(
         e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         return xy[e[:, 0]], xy[e[:, 1]]
 
-    # Split, collapse and flip each read the metric in at most one call, one
-    # tensor per edge at its midpoint; on a curved face the call locates
-    # only the midpoints the face has not read before.  No vertex moves before
-    # smoothing, so an edge keeps its length for the pass: splits act on
-    # the lengths they start with, and collapses measure only the edges
-    # that splits made.  The flip sweep reads every edge's tensor in one
-    # call at its start, then tests each edge on its quad as it stands
-    # when the sweep reaches it: a flip changes the quads of the four
-    # edges around it.
-    # Smoothing moves vertices and stays serial.  Vertices past n_fixed
-    # are interior: no constrained edge is split.  A smoothing target is
+    # Split, collapse and flip each read the metric in one call, one tensor
+    # per edge at its midpoint, located in that call.  Splits act on the
+    # lengths they start with.  Collapses measure every edge with an
+    # interior endpoint (past n_fixed, so never constrained: constrained
+    # edges join boundary samples and none is split).  The flip sweep
+    # reads every edge's tensor in one call at its start, then tests each
+    # edge on its quad as it stands when the sweep reaches it: a flip
+    # changes the quads of the four edges around it.
+    # Smoothing moves vertices and stays serial.  A smoothing target is
     # not located, as a split's midpoint is not: `move_vertex`'s
     # orientation test is the one guard on a move, and the one-to-one map
     # puts every point of the domain on the input surface.
@@ -362,23 +351,15 @@ def mesh_patch_uv(
         # split long edges, longest first
         edges = [e for e in mesh.edges() if e not in mesh.constrained]
         lens = metric.edge_lengths(*ends(edges, xy))
-        lens = dict(zip(edges, lens.tolist()))
-        n_old = len(mesh.points)
-        for _, e in sorted((-ln, e) for e, ln in lens.items() if ln > METRIC_LONG):
+        for _, e in sorted((-ln, e) for e, ln in zip(edges, lens.tolist()) if ln > METRIC_LONG):
             if mesh.has_edge(e) and mesh.split_edge(e) is not None:
                 counts["splits"] += 1
         # collapse short interior edges; collapses and flips move no point
         xy = np.asarray(mesh.points)
-        edges = [
-            e for e in sorted(mesh.edges())
-            if e not in mesh.constrained and (e[0] >= n_fixed or e[1] >= n_fixed)
-        ]
-        new = [e for e in edges if e[1] >= n_old]  # made by a split
-        if new:
-            measured = metric.edge_lengths(*ends(new, xy))
-            lens.update(zip(new, measured.tolist()))
-        for e in edges:
-            if lens[e] < METRIC_SHORT and mesh.has_edge(e) and mesh.collapse(e):
+        edges = [e for e in sorted(mesh.edges()) if e[1] >= n_fixed]
+        lens = metric.edge_lengths(*ends(edges, xy))
+        for e, ln in zip(edges, lens.tolist()):
+            if ln < METRIC_SHORT and mesh.has_edge(e) and mesh.collapse(e):
                 counts["collapses"] += 1
         # metric Delaunay flips
         edges = [e for e in sorted(mesh.edges()) if e not in mesh.constrained]

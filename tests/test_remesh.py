@@ -497,33 +497,6 @@ def test_locate_next_to_a_degenerate_triangle():
             assert (tm[0], bm[0].tolist()) == (want[0], want[1].tolist()), q
 
 
-@pytest.mark.parametrize("build, h", [(lambda: torus(nu=12, nv=6), 0.6), (cylinder_shell, 0.5)],
-                         ids=["torus12x6", "tube"])
-def test_a_face_metric_locates_each_point_once(build, h, monkeypatch):
-    located, asked = {}, [0]  # locator -> the points its FaceMetric.at located
-    at, locate_many = FaceMetric.at, UVLocator.locate_many
-
-    def asking_at(self, X):
-        asked[0] += 0 if self.uniform is not None else len(X)
-        return at(self, X)
-
-    def counting_locate_many(self, Q, clamp=False):
-        if sys._getframe(1).f_code is at.__code__:
-            points = [tuple(q) for q in np.asarray(Q).tolist()]
-            seen = located.setdefault(self, set())
-            assert seen.isdisjoint(points) and len(set(points)) == len(points)
-            seen.update(points)
-        return locate_many(self, Q, clamp)
-
-    monkeypatch.setattr(FaceMetric, "at", asking_at)
-    monkeypatch.setattr(UVLocator, "locate_many", counting_locate_many)
-    _, summary, _ = remesh_model(build(), PipelineOptions(size=h))
-    assert min(f["passes"] for f in summary["remesh_faces"]) >= 3
-    # every pass asks again for the midpoints of the edges it kept; the
-    # score's centroids are located outside `at`
-    assert 0 < sum(map(len, located.values())) < asked[0]
-
-
 def _quads_and_tensors(n, seed):
     """Random quads (a, b, c, d), some with repeated corners, and SPD tensors."""
     rng = np.random.default_rng(seed)
@@ -660,43 +633,56 @@ def test_edge_lengths_of_a_subset_equal_rows_of_the_batch(uv_faces):
 
 
 def test_each_edge_is_measured_once_per_pass(monkeypatch):
-    passes, edge_lengths, at = [[]], FaceMetric.edge_lengths, FaceMetric.at
-    measuring = [False]
+    # per pass: the split phase's lengths, the collapse phase's lengths,
+    # the flip phase's `at`, the score
+    events, inside = [], [None]
+    edge_lengths, at, min_angles = FaceMetric.edge_lengths, FaceMetric.at, FaceMetric.min_angles
+
+    def segments(P, Q):
+        return [tuple(sorted(map(tuple, pq))) for pq in zip(np.asarray(P).tolist(),
+                                                              np.asarray(Q).tolist())]
 
     def recording_lengths(self, P, Q):
-        passes[-1].append([tuple(sorted(map(tuple, pq))) for pq in zip(np.asarray(P).tolist(),
-                                                                          np.asarray(Q).tolist())])
-        measuring[0] = True
+        loop = sys._getframe(1).f_locals  # mesh_patch_uv's, as the phase starts
+        mesh, pts = loop["mesh"], loop["mesh"].points
+        split = sum(e[0] == "flip" for e in events) == sum(e[0] == "split" for e in events)
+        if split:
+            want = [e for e in mesh.edges() if e not in mesh.constrained]
+        else:
+            want = [e for e in mesh.edges() if e[1] >= loop["n_fixed"]]
+            assert not mesh.constrained.intersection(want)
+        events.append(("split" if split else "collapse", segments(P, Q),
+                       sorted(tuple(sorted((pts[a], pts[b]))) for a, b in want)))
+        inside[0] = "lengths"
         try:
             return edge_lengths(self, P, Q)
         finally:
-            measuring[0] = False
+            inside[0] = None
 
-    def pass_ends(self, X):  # the flip phase, after the last measurement of a pass
-        if not measuring[0]:
-            passes.append([])
+    def recording_at(self, X):
+        if inside[0] is None:
+            events.append(("flip",))
         return at(self, X)
 
-    scores = []  # the score locates centroids itself, not through `at`
-
     def scoring(self, P):
-        scores.append(len(passes))
-        return min_angles(self, P)
+        events.append(("score",))
+        inside[0] = "score"
+        try:
+            return min_angles(self, P)
+        finally:
+            inside[0] = None
 
-    min_angles = FaceMetric.min_angles
     monkeypatch.setattr(FaceMetric, "edge_lengths", recording_lengths)
-    monkeypatch.setattr(FaceMetric, "at", pass_ends)
+    monkeypatch.setattr(FaceMetric, "at", recording_at)
     monkeypatch.setattr(FaceMetric, "min_angles", scoring)
     _, summary, _ = remesh_model(torus(nu=12, nv=6), PipelineOptions(size=0.6))
-    calls = passes[:-1]
-    assert len(calls) == sum(f["passes"] for f in summary["remesh_faces"])
-    # one score per pass, after its flip phase
-    assert scores == list(range(2, len(passes) + 1))
-    assert all(1 <= len(c) <= 2 for c in calls)
-    assert sum(len(c) == 2 for c in calls) > 0  # collapses measured the edges splits made
-    for c in calls:
-        rows = [seg for call in c for seg in call]
-        assert len(set(rows)) == len(rows)
+    total = sum(f["passes"] for f in summary["remesh_faces"])
+    assert [e[0] for e in events] == ["split", "collapse", "flip", "score"] * total
+    measured = [e for e in events if len(e) == 3]
+    assert sum(len(got) for phase, got, _ in measured if phase == "collapse") > 0
+    for phase, got, want in measured:
+        assert len(set(got)) == len(got), phase  # no segment twice in a call
+        assert sorted(got) == want, phase
 
 
 ADAPT_CASES = [
