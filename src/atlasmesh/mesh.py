@@ -149,20 +149,20 @@ class Adjacency:
         src = tri.triangles.ravel()
         dst = tri.triangles[:, [1, 2, 0]].ravel()
         lo, hi = np.minimum(src, dst), np.maximum(src, dst)
-        keys, self.half_edge, self.edge_count = np.unique(
-            lo * n + hi, return_inverse=True, return_counts=True
-        )
-        self.edges = np.column_stack([keys // n, keys % n])
-        # half-edges grouped by edge, ascending (so by triangle id) in a group
-        order = stable_order(self.half_edge)
-        first = np.cumsum(self.edge_count) - self.edge_count
+        key = lo * n + hi
+        order = np.argsort(key, kind="stable")  # by edge, then by triangle id
+        first = np.flatnonzero(np.diff(key[order], prepend=-1))  # each edge's first
+        self.edge_count = np.diff(first, append=len(order))
+        self.half_edge = np.empty_like(order)
+        self.half_edge[order] = np.repeat(np.arange(len(first)), self.edge_count)
+        self.edges = np.column_stack(np.divmod(key[order[first]], n))
         two = self.edge_count >= 2
-        self.edge_tri = np.full((len(keys), 2), -1, dtype=np.int64)
+        self.edge_tri = np.full((len(first), 2), -1, dtype=np.int64)
         self.edge_tri[:, 0] = order[first] // 3
         self.edge_tri[two, 1] = order[first[two] + 1] // 3
         self._manifold = bool((self.edge_count <= 2).all())
         # the two triangles of an oriented edge traverse it in opposite directions
-        forward = np.bincount(self.half_edge, weights=src < dst, minlength=len(keys))
+        forward = np.bincount(self.half_edge, weights=src < dst, minlength=len(first))
         self.misoriented = (self.edge_count == 2) & (forward != 1)
         self._oriented = self._manifold and not self.misoriented.any()
         self.has_boundary = bool((self.edge_count == 1).any())
