@@ -417,15 +417,17 @@ def map_to_3d(result: FaceMeshResult, locator: UVLocator, patch, sample_xyz) -> 
     Boundary samples take their rows of the run's sample table
     `sample_xyz` (points on original curve segments); interior vertices
     are barycentric images on the containing parametric triangle, found
-    by `locator`, the one the face's metric built.
+    by `locator`, the one the face's metric built.  Each is summed as
+    (b0 c0 + b1 c1) + b2 c2, elementwise, so no matmul kernel rounds it.
     """
     out = np.empty((len(result.uv_points), 3))
     boundary = result.sample_ids >= 0
     out[boundary] = sample_xyz[result.sample_ids[boundary]]
     inner = np.flatnonzero(~boundary)
     t, bary = locator.locate_many(result.uv_points[inner], clamp=True)
-    corners = patch.tri.vertices[patch.tri.triangles[t]]
-    out[inner] = (bary[:, None, :] @ corners)[:, 0]
+    c0, c1, c2 = patch.tri.vertices[patch.tri.triangles[t].T]  # (k, 3) corner columns
+    b0, b1, b2 = bary.T[:, :, None]
+    out[inner] = (b0 * c0 + b1 * c1) + b2 * c2
     return out
 
 

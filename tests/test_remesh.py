@@ -807,6 +807,30 @@ def test_interior_vertices_lie_in_their_face_domain(build, h, tmp_path, monkeypa
         loc.locate_many(q, clamp=False)
 
 
+def test_interior_vertices_are_the_float_product_sum(monkeypatch):
+    # (b0 c0 + b1 c1) + b2 c2 per coordinate, as Python floats round it: no
+    # matmul kernel, fused or blocked, decides an output coordinate
+    faces = []
+    map_to_3d = pipeline.map_to_3d
+
+    def record(result, locator, patch, sample_xyz):
+        out = map_to_3d(result, locator, patch, sample_xyz)
+        faces.append((result, locator, patch, out))
+        return out
+
+    monkeypatch.setattr(pipeline, "map_to_3d", record)
+    remesh_model(torus(nu=12, nv=6), PipelineOptions(size=0.6))
+    rows = 0
+    for result, locator, patch, out in faces:
+        inner = np.flatnonzero(result.sample_ids < 0)
+        t, bary = locator.locate_many(result.uv_points[inner], clamp=True)
+        corners = patch.tri.vertices[patch.tri.triangles[t]].tolist()
+        for row, (b0, b1, b2), (c0, c1, c2) in zip(out[inner].tolist(), bary.tolist(), corners):
+            assert row == [(b0 * x + b1 * y) + b2 * z for x, y, z in zip(c0, c1, c2)]
+        rows += len(inner)
+    assert rows > 0
+
+
 # Sweep cases whose UV loops Qhull triangulates with slivers over nearly
 # collinear boundary samples, and two where a sliver right of a loop edge
 # has a centroid of winding number 1 by rounding.
