@@ -9,9 +9,19 @@ ones, so a drift of the machine falls on both sides.  For every metric
 of the last JSON line the script prints each side's first quartile,
 median and third quartile and the pairs the change wins, by the
 direction `BENCHMARK.json` of the change root gives.  For each
-end-to-end metric it then says whether two rules hold: the change wins
-at least nine in ten pairs, and its median beats the parent's by more
-than the parent's interquartile range.  `--json` writes the summary and
+end-to-end metric it then says whether two gain rules hold: the change
+wins at least nine in ten pairs, and its median beats the parent's by
+more than the parent's interquartile range.  It also gives the
+no-regression verdict under that metric's relative `bound`:
+
+- "unresolved" when the parent's interquartile range over its median
+  is wider than the bound and not every change run beats every parent
+  run: the runs spread too widely to tell;
+- otherwise "worse beyond bound" when the change's median is worse than
+  the parent's by more than the bound times the parent's median;
+- otherwise "within bound".
+
+`--json` writes the summary and
 every run (result, wall time and log line) for a `BENCH_*.json` record;
 if a run gives no result, it writes the runs alone and exits 1.
 Nothing is written under either tree's `bench/`; `bench/run.py` keeps its
@@ -50,10 +60,22 @@ def quartiles(values):
     return {"q1": float(q1), "median": float(median), "q3": float(q3)}
 
 
-def summarise(runs, pairs, better, ruled):
+def verdict(parent, change, lower, bound):
+    """The no-regression verdict of one metric's runs; see the module doc."""
+    p, cm = quartiles(parent), quartiles(change)["median"]
+    pm = p["median"]
+    beats_all = max(change) < min(parent) if lower else min(change) > max(parent)
+    if p["q3"] - p["q1"] > bound * abs(pm) and not beats_all:
+        return "unresolved"
+    worse = (cm - pm) if lower else (pm - cm)
+    return "worse beyond bound" if worse > bound * abs(pm) else "within bound"
+
+
+def summarise(runs, pairs, better, bounds):
     """Per metric: both sides' quartiles, the change's wins and ties, and
-    for the metrics named in `ruled` whether the nine-in-ten and IQR
-    rules hold.  `better` maps a metric to "lower" or "higher"."""
+    for the metrics `bounds` names whether the nine-in-ten and IQR rules
+    hold and the verdict under that bound.  `better` maps a metric to
+    "lower" or "higher"."""
     by = {side: [r for r in runs if r["side"] == side] for side in ("parent", "change")}
     names = [k for k in by["parent"][0]["result"]["metrics"]]
     out = {}
@@ -67,10 +89,12 @@ def summarise(runs, pairs, better, ruled):
                "change_better_pairs": wins, "tied_pairs": ties, "pairs": pairs}
         pm, cm = row["parent"]["median"], row["change"]["median"]
         row["ratio_of_medians"] = cm / pm if pm else None
-        if name in ruled:
+        if name in bounds:
             gain = (pm - cm) if lower else (cm - pm)
             row["nine_in_ten"] = wins >= math.ceil(0.9 * pairs)
             row["beyond_parent_iqr"] = gain > row["parent"]["q3"] - row["parent"]["q1"]
+            row["bound"] = bounds[name]
+            row["verdict"] = verdict(v["parent"], v["change"], lower, bounds[name])
         out[name] = row
     return out
 
@@ -88,7 +112,7 @@ def main(argv=None):
     args = ap.parse_args(argv)
     spec = json.loads((args.change_root / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec.get("per_layer", [])}
-    ruled = [] if args.trace else [m["name"] for m in spec["end_to_end"]]
+    bounds = {} if args.trace else {m["name"]: m["bound"] for m in spec["end_to_end"]}
 
     roots = {"parent": args.parent_root.resolve(), "change": args.change_root.resolve()}
     runs = []
@@ -108,13 +132,14 @@ def main(argv=None):
         if args.json:
             args.json.write_text(json.dumps({"runs": runs}, indent=1))
         return 1
-    summary = summarise(runs, args.pairs, better, ruled)
+    summary = summarise(runs, args.pairs, better, bounds)
     for name, row in summary.items():
         p, c = row["parent"], row["change"]
         rules = ""
         if "nine_in_ten" in row:
             rules = (f"  nine-in-ten {'holds' if row['nine_in_ten'] else 'fails'},"
-                     f" IQR rule {'holds' if row['beyond_parent_iqr'] else 'fails'}")
+                     f" IQR rule {'holds' if row['beyond_parent_iqr'] else 'fails'};"
+                     f" {row['verdict']} ({row['bound']:g})")
         print(f"{name:24s} parent {p['q1']:.4g} / {p['median']:.4g} / {p['q3']:.4g}"
               f"  change {c['q1']:.4g} / {c['median']:.4g} / {c['q3']:.4g}"
               f"  change better {row['change_better_pairs']} of {args.pairs}"
