@@ -635,7 +635,7 @@ def test_edge_lengths_of_a_subset_equal_rows_of_the_batch(uv_faces):
 def test_each_edge_is_measured_once_per_pass(monkeypatch):
     # per pass: the split phase's lengths, the collapse phase's lengths,
     # the flip phase's `at`, the score
-    events, inside = [], [None]
+    events, inside = [], [False]  # inside: in edge_lengths or min_angles
     edge_lengths, at, min_angles = FaceMetric.edge_lengths, FaceMetric.at, FaceMetric.min_angles
 
     def segments(P, Q):
@@ -653,24 +653,24 @@ def test_each_edge_is_measured_once_per_pass(monkeypatch):
             assert not mesh.constrained.intersection(want)
         events.append(("split" if split else "collapse", segments(P, Q),
                        sorted(tuple(sorted((pts[a], pts[b]))) for a, b in want)))
-        inside[0] = "lengths"
+        inside[0] = True
         try:
             return edge_lengths(self, P, Q)
         finally:
-            inside[0] = None
+            inside[0] = False
 
     def recording_at(self, X):
-        if inside[0] is None:
+        if not inside[0]:
             events.append(("flip",))
         return at(self, X)
 
     def scoring(self, P):
         events.append(("score",))
-        inside[0] = "score"
+        inside[0] = True
         try:
             return min_angles(self, P)
         finally:
-            inside[0] = None
+            inside[0] = False
 
     monkeypatch.setattr(FaceMetric, "edge_lengths", recording_lengths)
     monkeypatch.setattr(FaceMetric, "at", recording_at)
