@@ -47,8 +47,9 @@ class PlanarMesh:
     Qhull's orientation and every edit keeps it.  A sliver over nearly
     collinear samples may round to area <= 0; next to one, `flip` and
     `collapse` refuse an edit that would give a directed edge a second
-    triangle.  `e2t` maps each directed edge (a, b) to the live triangle
-    that winds a -> b; an edge with a triangle on each side has a `quad`.
+    triangle.  `fan[a]` maps each directed edge (a, b) to the live
+    triangle that winds a -> b, so its values are the triangles around a;
+    an edge with a triangle on each side has a `quad`.
     Constrained edges (domain boundary) are never flipped, split, or
     collapsed by the editing helpers.  `constrain` marks an edge;
     `boundary` holds every vertex of a constrained edge.
@@ -58,8 +59,7 @@ class PlanarMesh:
         pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
         self.points = list(map(tuple, pts.tolist()))
         self.tris: list = []
-        self.e2t: dict[tuple[int, int], int] = {}
-        self.v2t: dict[int, set[int]] = {i: set() for i in range(len(self.points))}
+        self.fan: list[dict[int, int]] = [{} for _ in self.points]
         self.constrained: set[tuple[int, int]] = set()
         self.boundary: set[int] = set()
         for t in np.asarray(triangles, dtype=np.int64).reshape(-1, 3).tolist():
@@ -75,26 +75,18 @@ class PlanarMesh:
         tid = len(self.tris)
         self.tris.append(tri)
         a, b, c = tri
-        e2t = self.e2t
-        e2t[a, b] = e2t[b, c] = e2t[c, a] = tid
-        v2t = self.v2t
-        v2t[a].add(tid)
-        v2t[b].add(tid)
-        v2t[c].add(tid)
+        fan = self.fan
+        fan[a][b] = fan[b][c] = fan[c][a] = tid
         return tid
 
     def _remove_tri(self, tid):
         a, b, c = self.tris[tid]
-        e2t = self.e2t
+        fan = self.fan
         # a collapse may already have handed a key to the triangle replacing
         # a neighbour; it stays with that triangle
-        for key in ((a, b), (b, c), (c, a)):
-            if e2t[key] == tid:
-                del e2t[key]
-        v2t = self.v2t
-        v2t[a].discard(tid)
-        v2t[b].discard(tid)
-        v2t[c].discard(tid)
+        for x, y in ((a, b), (b, c), (c, a)):
+            if fan[x][y] == tid:
+                del fan[x][y]
         self.tris[tid] = None
 
     def area(self, tid):
@@ -103,18 +95,19 @@ class PlanarMesh:
 
     def has_edge(self, edge):
         a, b = edge
-        return (a, b) in self.e2t or (b, a) in self.e2t
+        return b in self.fan[a] or a in self.fan[b]
 
     def edges(self):
         """Every edge once, as (low, high)."""
-        e2t = self.e2t
-        return [(a, b) if a < b else (b, a) for a, b in e2t if a < b or (b, a) not in e2t]
+        fan = self.fan
+        return [(a, b) if a < b else (b, a)
+                for a, out in enumerate(fan) for b in out if a < b or a not in fan[b]]
 
     def quad(self, edge):
         """(a, b, c, d) of an edge with a triangle on each side: the lower
         triangle id winds (a, b, c), the other (b, a, d).  None otherwise."""
         a, b = edge
-        t0, t1 = self.e2t.get((a, b)), self.e2t.get((b, a))
+        t0, t1 = self.fan[a].get(b), self.fan[b].get(a)
         if t0 is None or t1 is None:
             return None
         if t1 < t0:
@@ -143,9 +136,9 @@ class PlanarMesh:
         pa, pb, pc, pd = (self.points[v] for v in q)
         if _orient(pa, pd, pc) <= 0.0 or _orient(pd, pb, pc) <= 0.0 or self.has_edge((c, d)):
             return False
-        e2t = self.e2t
-        self._remove_tri(e2t[a, b])
-        self._remove_tri(e2t[b, a])
+        fan = self.fan
+        self._remove_tri(fan[a][b])
+        self._remove_tri(fan[b][a])
         self._add_tri((a, d, c))
         self._add_tri((d, b, c))
         return True
@@ -154,13 +147,13 @@ class PlanarMesh:
         """Insert the midpoint of an edge, bisecting its adjacent triangles."""
         a, b = edge
         sides = sorted((tid, x, y) for x, y in ((a, b), (b, a))
-                       if (tid := self.e2t.get((x, y))) is not None)
+                       if (tid := self.fan[x].get(y)) is not None)
         if not sides:
             return None
         (ax, ay), (bx, by) = self.points[a], self.points[b]
         m = len(self.points)
         self.points.append((0.5 * (ax + bx), 0.5 * (ay + by)))
-        self.v2t[m] = set()
+        self.fan.append({})
         for tid, x, y in sides:  # ascending id; the triangle winds x -> y -> z
             u, v, w = self.tris[tid]
             z = u + v + w - x - y
@@ -183,8 +176,8 @@ class PlanarMesh:
             if b in self.boundary:
                 return False
             a, b = b, a
-        tris, e2t, pts = self.tris, self.e2t, self.points
-        ring = sorted(self.v2t[a])  # ascending ids; _remove_tri shrinks the set
+        tris, fan, pts = self.tris, self.fan, self.points
+        ring = sorted(fan[a].values())  # ascending ids; _remove_tri shrinks fan[a]
         new = []
         for tid in ring:
             x, y, z = tris[tid]
@@ -194,8 +187,8 @@ class PlanarMesh:
             x, y, z = tri = (b if x == a else x, b if y == a else y, b if z == a else z)
             if _orient(pts[x], pts[y], pts[z]) <= 0.0:
                 return False
-            for key in ((x, y), (y, z), (z, x)):
-                t = e2t.get(key)
+            for u, v in ((x, y), (y, z), (z, x)):
+                t = fan[u].get(v)
                 if t is not None and a not in tris[t]:
                     return False
             new.append(tri)
@@ -209,7 +202,7 @@ class PlanarMesh:
         """Relocate an interior vertex if all incident triangles stay positive."""
         old = self.points[v]
         self.points[v] = (float(point[0]), float(point[1]))
-        for tid in self.v2t[v]:
+        for tid in self.fan[v].values():
             if self.area(tid) <= 0.0:
                 self.points[v] = old
                 return False
@@ -267,8 +260,7 @@ def constrained_triangulation(points, constraint_edges):
         # a vertex sitting on the constraint splits it
         on_seg = [
             v for v in range(len(mesh.points))
-            if v not in (a, b) and mesh.v2t[v]
-            and point_on_segment(mesh.points[v], pa, pb, eps)
+            if v not in (a, b) and point_on_segment(mesh.points[v], pa, pb, eps)
         ]
         if on_seg:
             v = min(on_seg, key=lambda v: float(np.linalg.norm(np.subtract(mesh.points[v], pa))))
@@ -297,13 +289,13 @@ def clip_to_loops(mesh: PlanarMesh, loop_edges):
     """Keep the triangles reached from the left of the directed loop edges
     (a, b) without crossing a constrained edge; remove the rest in
     ascending id.  A loop edge the CDT split seeds nothing."""
-    tris, e2t = mesh.tris, mesh.e2t
-    stack = [t for t in (e2t.get((a, b)) for a, b in loop_edges) if t is not None]
+    tris, fan = mesh.tris, mesh.fan
+    stack = [t for t in (fan[a].get(b) for a, b in loop_edges) if t is not None]
     keep = set(stack)
     while stack:
         a, b, c = tris[stack.pop()]
         for x, y in ((a, b), (b, c), (c, a)):
-            t = e2t.get((y, x))
+            t = fan[y].get(x)
             if t is not None and t not in keep and mesh._ekey(x, y) not in mesh.constrained:
                 keep.add(t)
                 stack.append(t)

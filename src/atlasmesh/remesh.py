@@ -372,11 +372,9 @@ def mesh_patch_uv(
                 counts["flips"] += 1
         # smooth interior vertices
         for v in range(n_fixed, len(pts)):
-            if not mesh.v2t[v]:
+            if not mesh.fan[v]:
                 continue
-            nbrs = sorted(
-                {w for tid in mesh.v2t[v] for w in mesh.tris[tid] if w != v}
-            )
+            nbrs = sorted({w for tid in mesh.fan[v].values() for w in mesh.tris[tid]} - {v})
             # the sequential sum np.mean(axis=0) makes, in floats
             x, y = pts[nbrs[0]]
             for w in nbrs[1:]:

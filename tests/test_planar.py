@@ -161,7 +161,7 @@ def test_cdt_always_recovers_hull_edges(int_pts):
         pa, pb = mesh.points[a], mesh.points[b]
         on = [
             v for v in range(len(mesh.points))
-            if mesh.v2t.get(v) and point_on_segment(mesh.points[v], pa, pb, 1e-9)
+            if mesh.fan[v] and point_on_segment(mesh.points[v], pa, pb, 1e-9)
         ]
         on.sort(key=lambda v: float(np.linalg.norm(np.subtract(mesh.points[v], pa))))
         assert on[0] == a and on[-1] == b and len(on) > 2
@@ -268,5 +268,6 @@ def test_e2t_is_the_map_of_the_live_triangles(seed, corners, per_side):
         held = [(e, t) for t, tri in enumerate(mesh.tris) if tri is not None
                 for e in _directed_edges([tri])]
         assert len({e for e, _ in held}) == len(held), (step, op)
-        assert mesh.e2t == dict(held), (step, op)
+        fan = {(a, b): t for a, out in enumerate(mesh.fan) for b, t in out.items()}
+        assert fan == dict(held), (step, op)
     assert min(accepted.values()) > 0
