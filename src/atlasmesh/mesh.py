@@ -185,10 +185,12 @@ class ValidationReport:
     watertight: bool
     boundary_loop_count: int
     degenerate_triangles: list = field(default_factory=list)
+    duplicate_triangles: list = field(default_factory=list)
 
     @property
     def ok(self):
-        return self.manifold and self.oriented and not self.degenerate_triangles
+        return (self.manifold and self.oriented and not self.degenerate_triangles
+                and not self.duplicate_triangles)
 
 
 @dataclass
@@ -279,7 +281,8 @@ def boundary_loops(tri: Triangulation, adj: Adjacency):
 
 
 def validate(tri: Triangulation, adj: Adjacency | None = None) -> ValidationReport:
-    """Report manifoldness, orientation, watertightness and degeneracies."""
+    """Report manifoldness, orientation, watertightness, degenerate
+    triangles and duplicates: triangles on the same three vertices."""
     if adj is None:
         adj = Adjacency(tri)
     manifold = adj.is_manifold()
@@ -291,7 +294,9 @@ def validate(tri: Triangulation, adj: Adjacency | None = None) -> ValidationRepo
     scale = tri.bbox_diagonal()
     thresh = 1e-14 * scale * scale
     degen = np.nonzero(tri.triangle_areas() < thresh)[0].tolist()
-    return ValidationReport(manifold, oriented, watertight, nloops, degen)
+    _, index = first_occurrence(np.sort(tri.triangles, axis=1))
+    dup = np.flatnonzero(np.bincount(index)[index] > 1).tolist()
+    return ValidationReport(manifold, oriented, watertight, nloops, degen, dup)
 
 
 def euler_check(tri: Triangulation, adj: Adjacency | None = None, loops=None):

@@ -57,8 +57,9 @@ def build_atlas(model: Triangulation, opt: PipelineOptions | None = None) -> Atl
     report = validate(model, adj)
     if not report.ok:
         raise MeshError(
-            "input rejected: manifold=%s oriented=%s degenerate=%d"
-            % (report.manifold, report.oriented, len(report.degenerate_triangles))
+            "input rejected: manifold=%s oriented=%s degenerate=%d duplicate=%d"
+            % (report.manifold, report.oriented, len(report.degenerate_triangles),
+               len(report.duplicate_triangles))
         )
     features = detect_feature_edges(model, adj, opt.angle_deg)
     labels = segment_patches(model, adj, features)
@@ -185,6 +186,7 @@ def _validation_error(out: Triangulation, report):
     faults = {name: np.unique(np.flatnonzero(bad[adj.half_edge]) // 3)
               for name, bad in bad_edges.items()}
     faults["degenerate"] = np.asarray(report.degenerate_triangles, dtype=np.int64)
+    faults["duplicate"] = np.asarray(report.duplicate_triangles, dtype=np.int64)
     parts = [
         f"{name} (triangles {ids[:10].tolist()} on faces {np.unique(out.patch_tags[ids]).tolist()})"
         for name, ids in faults.items() if len(ids)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fixtures import concave_hole_plate, cube, cylinder_shell, package_env
+from fixtures import concave_hole_plate, cube, cylinder_shell, package_env, sphere
 
 from atlasmesh.cli import build_parser, main
 from atlasmesh.io import load_surface, write_mesh
@@ -299,6 +299,24 @@ def test_remesh_rejects_bad_size(cube_file, tmp_path, capsys, size):
     assert err["error"] == "MeshError"
     assert "finite and positive" in err["message"]
     assert not out.exists()
+
+
+def test_remesh_names_duplicate_output_triangles(tmp_path, capsys):
+    # at h=6 the one curve of sphere(3) has three samples, and each of its
+    # two faces is one triangle on them: closed and manifold, yet folded
+    src, out = tmp_path / "sphere.msh", tmp_path / "o.msh"
+    write_mesh(sphere(3), src)
+    message = _mesh_error(capsys, ["remesh", str(src), "--size", "6", "-o", str(out)])
+    assert "duplicate (triangles [0, 1] on faces [0, 1])" in message
+    assert not out.exists()
+
+
+def test_remesh_rejects_duplicate_input_triangles(tmp_path, capsys):
+    src = tmp_path / "pillow.obj"
+    src.write_text("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\nf 1 3 2\n")
+    message = _mesh_error(capsys, ["remesh", str(src), "--size", "0.5", "-o",
+                                   str(tmp_path / "o.msh")])
+    assert "input rejected" in message and "duplicate=2" in message
 
 
 def test_load_and_write_take_the_cli_format_names(tmp_path):

@@ -110,6 +110,14 @@ def test_validate_flags_degenerate():
     assert not rep.ok
 
 
+def test_validate_flags_duplicates():
+    v = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], dtype=float)
+    m = Triangulation(v, [[0, 2, 1], [0, 1, 3], [2, 0, 1], [1, 2, 3], [0, 3, 2]])
+    rep = validate(m)
+    assert rep.duplicate_triangles == [0, 2]
+    assert not rep.ok
+
+
 def test_validate_watertight_cube():
     rep = validate(cube())
     assert rep.ok
